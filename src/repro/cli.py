@@ -964,7 +964,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="delete all but the newest N versions per "
                              "(routine, machine) cell; the version "
                              "'latest' points at is never collected")
-    p.add_argument("--snap", choices=["exact", "nearest", "plateau"],
+    p.add_argument("--snap", choices=["exact", "plateau"],
                    default="exact",
                    help="--compile-table snap mode: 'plateau' also answers "
                         "off-lattice shapes from cells whose corners agree "

@@ -7,7 +7,8 @@ the object model's:
 * tree ensembles (forest / AdaBoost / XGBoost / LightGBM) pack into one
   :class:`~repro.compile.trees.PackedTrees` traversed for all trees at
   once — accumulation over trees keeps the object path's sequential
-  order, because pairwise summation would change low bits;
+  order (:func:`_tree_order_sum`), because pairwise summation would
+  change low bits;
 * the exact-greedy decision tree flattens its linked nodes into the same
   packed representation (its object path walks Python nodes per sample,
   the slowest evaluator in the registry);
@@ -27,6 +28,20 @@ from __future__ import annotations
 import numpy as np
 
 from repro.compile.trees import PackedTrees
+
+
+def _tree_order_sum(per_tree: np.ndarray, start: float) -> np.ndarray:
+    """``start + per_tree[0] + per_tree[1] + ...`` per sample, in tree
+    order: bitwise the object path's ``out = full(start); out += row``
+    loop.
+
+    ``np.add.accumulate`` (``cumsum``) is sequential along the axis for
+    every shape, whereas ``np.add.reduce`` switches to pairwise
+    summation when the summed axis is contiguous (a one-sample
+    ``per_tree``).  ``per_tree`` is consumed.
+    """
+    per_tree[0] += start
+    return np.cumsum(per_tree, axis=0, out=per_tree)[-1]
 
 
 class LoweredLinear:
@@ -74,10 +89,7 @@ class LoweredMeanEnsemble:
 
     def predict(self, X) -> np.ndarray:
         per_tree = self.packed.predict_per_tree(X)
-        out = np.zeros(X.shape[0])
-        for row in per_tree:  # sequential sum: bitwise the object path
-            out += row
-        return out / self.packed.n_trees
+        return _tree_order_sum(per_tree, 0.0) / self.packed.n_trees
 
     def describe(self) -> dict:
         return {"kind": self.kind, **self.packed.describe()}
@@ -94,11 +106,8 @@ class LoweredBoostedEnsemble:
         self.base_score = float(base_score)
 
     def predict(self, X) -> np.ndarray:
-        per_tree = self.packed.predict_per_tree(X)
-        out = np.full(X.shape[0], self.base_score)
-        for row in per_tree:
-            out += row
-        return out
+        return _tree_order_sum(self.packed.predict_per_tree(X),
+                               self.base_score)
 
     def describe(self) -> dict:
         return {"kind": self.kind, **self.packed.describe()}

@@ -7,8 +7,8 @@ reachable shape lattice — the cross-product of per-axis quantised
 ``(m, k, n)`` values derived from the training campaign's sampling
 domain — and the argmin thread choice per lattice point is packed into
 one small integer array.  Serving a lattice shape then costs three
-``searchsorted`` probes and one fancy-indexed gather: no features, no
-pipeline, no model.
+dict probes (one per-axis value -> index map) and one list read: no
+features, no pipeline, no model.
 
 Correctness is anchored the same way the plan's is: every lattice point
 is round-tripped through the table's own lookup machinery at build time
@@ -18,35 +18,34 @@ answer differently from the plan it was compiled from.  Shapes off the
 lattice **fall through** — :meth:`DecisionTable.lookup_batch` reports
 them unresolved and the predictor runs the plan for just those shapes.
 
-Three snap modes bound how far "on the lattice" stretches:
+Two snap modes bound how far "on the lattice" stretches:
 
 * ``"exact"`` (default): only exact lattice hits are answered; every
   other shape falls through.  The table is then a pure accelerator —
   thread choices are bitwise identical with or without it.
-* ``"nearest"``: shapes inside the lattice bounding box snap to the
-  nearest lattice point per axis (an explicit approximation for
-  quantisation-tolerant deployments); out-of-box shapes still fall
-  through.
 * ``"plateau"``: exact hits are answered as in ``"exact"``; an
   off-lattice shape inside the bounding box is answered from its
-  bracketing lattice cell **iff** all eight cell corners agree on the
-  thread choice (the cell is a *plateau* of the decision function) and
-  the cell survived build-time probe validation.  Corner disagreement
-  — or a build-time probe that caught the plan changing its mind
-  *inside* an agreeing cell — demotes the cell, and shapes landing in
-  it fall through to the plan unchanged.  Every table answer therefore
-  remains bitwise-equal to what the plan would have said on the
-  validated probe distribution, while the long tail of near-lattice
-  traffic is absorbed into tier 0.
+  bracketing lattice cell (found by bisection per axis) **iff** all
+  eight cell corners agree on the thread choice (the cell is a
+  *plateau* of the decision function) and the cell survived build-time
+  probe validation.  Corner disagreement — or a build-time probe that
+  caught the plan changing its mind *inside* an agreeing cell —
+  demotes the cell, and shapes landing in it fall through to the plan
+  unchanged.  Every table answer therefore remains bitwise-equal to
+  what the plan would have said on the validated probe distribution,
+  while the long tail of near-lattice traffic is absorbed into tier 0.
 
-The table holds only numpy arrays and plain scalars, so it pickles
-small and deterministically and the bundle checksum can cover it
+The table pickles only numpy arrays and plain scalars — the lookup
+maps are rebuilt on load — so it pickles small and deterministically,
+serving never changes its pickle, and the bundle checksum can cover it
 (:mod:`repro.core.serialize` persists tables as ``adsala_table.pkl``;
 refined tables additionally carry a ``generation`` counter in their
 metadata).
 """
 
 from __future__ import annotations
+
+from bisect import bisect_right
 
 import numpy as np
 
@@ -60,6 +59,11 @@ BUILD_CHUNK = 4096
 #: Interior probe points per plateau-mode build-time validation pass.
 PLATEAU_PROBES = 512
 
+SNAP_MODES = ("exact", "plateau")
+
+#: What the lookup kernel returns for a shape that falls through.
+_MISS = (0, False, False)
+
 
 class TableValidationError(RuntimeError):
     """The built table disagrees with the plan on a lattice point."""
@@ -72,35 +76,6 @@ def _as_axis(values) -> np.ndarray:
     if (axis < 1).any():
         raise ValueError("lattice dimensions must be >= 1")
     return axis
-
-
-def _snap_axis(axis: np.ndarray, values: np.ndarray):
-    """Nearest lattice index per value, plus exact/in-box masks.
-
-    Ties between two equidistant lattice values resolve to the larger
-    one — any fixed rule works, it just has to be deterministic so the
-    build-time validation pins serving behaviour.
-    """
-    pos = np.searchsorted(axis, values)
-    left = np.clip(pos - 1, 0, axis.size - 1)
-    right = np.clip(pos, 0, axis.size - 1)
-    idx = np.where(axis[right] - values <= values - axis[left], right, left)
-    exact = axis[idx] == values
-    in_box = (values >= axis[0]) & (values <= axis[-1])
-    return idx, exact, in_box
-
-
-def _cell_axis(axis: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Bracketing cell index per value: cell ``i`` spans
-    ``axis[i]..axis[i+1]``.
-
-    Deterministic for every input, including exact ticks (they anchor
-    the cell whose *lower* edge they are; the last tick clips into the
-    last cell) and degenerate single-value axes (everything maps to
-    cell 0).
-    """
-    pos = np.searchsorted(axis, values, side="right") - 1
-    return np.clip(pos, 0, max(axis.size - 2, 0))
 
 
 def _corner_agreement(grid_index: np.ndarray) -> np.ndarray:
@@ -190,25 +165,31 @@ class DecisionTable:
     grid_index:
         ``(|m|, |k|, |n|)`` int16 array of indices into ``thread_grid``.
     snap:
-        ``"exact"``, ``"nearest"`` or ``"plateau"`` (module docstring).
+        ``"exact"`` or ``"plateau"`` (module docstring).
     cell_ok:
         Plateau mode only: ``(max(|m|-1,1), max(|k|-1,1), max(|n|-1,1))``
         boolean mask of cells allowed to answer their interior.  Derived
         from corner agreement when not given; build-time probe
-        validation may demote cells.  ``None`` for the other modes.
+        validation may demote cells.  ``None`` in exact mode.
     meta:
         Build provenance: resolution, probe count, campaign coverage,
         refinement ``generation``.
     """
 
     __slots__ = ("routine", "thread_grid", "axes", "grid_index", "snap",
-                 "meta", "cell_ok", "_scratch")
+                 "meta", "cell_ok", "_index", "_ticks", "_choices")
+
+    #: The slots that are the table's identity, in pickle order.  The
+    #: rest is the lookup kernel's working form of ``axes`` and
+    #: ``grid_index``, rebuilt by :meth:`_derive` and never pickled.
+    _STATE = ("routine", "thread_grid", "axes", "grid_index", "snap",
+              "meta", "cell_ok")
 
     def __init__(self, routine: str, thread_grid, axes, grid_index,
                  snap: str = "exact", meta: dict = None, cell_ok=None):
-        if snap not in ("exact", "nearest", "plateau"):
-            raise ValueError(f"snap must be 'exact', 'nearest' or "
-                             f"'plateau', got {snap!r}")
+        if snap not in SNAP_MODES:
+            raise ValueError(f"snap must be 'exact' or 'plateau', "
+                             f"got {snap!r}")
         self.routine = str(routine)
         self.thread_grid = np.asarray(thread_grid, dtype=np.int64)
         self.axes = tuple(_as_axis(a) for a in axes)
@@ -241,15 +222,24 @@ class DecisionTable:
             cell_ok = None
         self.cell_ok = cell_ok
         self.meta = dict(meta or {})
-        self._scratch = np.empty((1, 3), dtype=np.int64)
+        self._derive()
+
+    def _derive(self) -> None:
+        """Build the lookup kernel's maps from ``axes``/``grid_index``:
+        per-axis tick value -> index dicts, the ticks as lists for
+        bisection, and the thread choice of every lattice point as one
+        flat list in ``grid_index`` order."""
+        self._ticks = tuple(axis.tolist() for axis in self.axes)
+        self._index = tuple({value: i for i, value in enumerate(ticks)}
+                            for ticks in self._ticks)
+        self._choices = self.thread_grid[self.grid_index].ravel().tolist()
 
     # -- pickling --------------------------------------------------------
     def __getstate__(self) -> dict:
-        # The scalar-lookup scratch buffer is per-process working state,
-        # not table identity; keeping it out preserves deterministic
-        # pickles (the idempotence anchor for registry retrofits).
-        return {name: getattr(self, name) for name in self.__slots__
-                if name != "_scratch"}
+        # Only identity is pickled, so a table's pickle (the idempotence
+        # anchor for registry retrofits) is the same before and after it
+        # serves.
+        return {name: getattr(self, name) for name in self._STATE}
 
     def __setstate__(self, state) -> None:
         if isinstance(state, tuple):  # default slots reduce: (dict, slots)
@@ -258,13 +248,13 @@ class DecisionTable:
                 if part:
                     merged.update(part)
             state = merged
-        for name in self.__slots__:
+        for name in self._STATE:
             if name in state:
                 setattr(self, name, state[name])
         if "cell_ok" not in state:  # tables pickled before plateau mode
             self.cell_ok = (_corner_agreement(self.grid_index)
                             if self.snap == "plateau" else None)
-        self._scratch = np.empty((1, 3), dtype=np.int64)
+        self._derive()
 
     # -- geometry --------------------------------------------------------
     @property
@@ -288,48 +278,44 @@ class DecisionTable:
         return np.stack([g.ravel() for g in mesh], axis=1)
 
     # -- lookup ----------------------------------------------------------
-    def _lookup_dims(self, dims: np.ndarray):
-        """The one lookup kernel every probe goes through.
+    def _resolve(self, m: int, k: int, n: int) -> tuple:
+        """The one lookup kernel: ``(choice, resolved, interpolated)``.
 
-        ``dims`` is an ``(n, 3)`` int64 array.  Returns
-        ``(choices, resolved, interpolated)``: int64 choices (0 where
-        unresolved), the resolved mask, and the subset of resolved
-        entries that were answered *between* lattice points (snapped in
-        ``"nearest"`` mode, plateau-cell interiors in ``"plateau"``
-        mode; always all-False in ``"exact"`` mode).
+        An exact lattice hit costs three dict probes and one list read.
+        In plateau mode an off-lattice shape inside the bounding box is
+        answered from the lower corner of its bracketing cell when that
+        cell may answer its interior (all agreeing corners answer
+        alike).  Every other shape falls through as ``(0, False,
+        False)``.
         """
-        n = dims.shape[0]
-        if n == 0:
-            zero = np.zeros(0, dtype=bool)
-            return np.zeros(0, dtype=np.int64), zero, zero.copy()
-        snapped, exact_all, in_box_all = [], None, None
-        for axis, col in zip(self.axes, dims.T):
-            i, exact, in_box = _snap_axis(axis, col)
-            snapped.append(i)
-            exact_all = exact if exact_all is None else exact_all & exact
-            in_box_all = in_box if in_box_all is None else in_box_all & in_box
-        if self.snap == "exact":
-            resolved, use = exact_all, snapped
-            interpolated = np.zeros(n, dtype=bool)
-        elif self.snap == "nearest":
-            resolved, use = in_box_all, snapped
-            interpolated = in_box_all & ~exact_all
-        else:  # plateau: exact hits always answer; interiors need cell_ok
-            cells = [_cell_axis(axis, col)
-                     for axis, col in zip(self.axes, dims.T)]
-            interpolated = (in_box_all & ~exact_all
-                            & self.cell_ok[cells[0], cells[1], cells[2]])
-            resolved = exact_all | interpolated
-            # All agreeing corners answer alike, so the lower corner of
-            # the bracketing cell stands in for the whole interior.
-            use = [np.where(exact_all, i, c)
-                   for i, c in zip(snapped, cells)]
-        choices = np.zeros(n, dtype=np.int64)
-        if resolved.any():
-            rows = self.grid_index[use[0][resolved], use[1][resolved],
-                                   use[2][resolved]]
-            choices[resolved] = self.thread_grid[rows.astype(np.intp)]
-        return choices, resolved, interpolated
+        index_m, index_k, index_n = self._index
+        i, j, l = index_m.get(m), index_k.get(k), index_n.get(n)
+        interpolated = i is None or j is None or l is None
+        if interpolated:
+            if self.cell_ok is None:
+                return _MISS
+            cell = self._cell(m, k, n)
+            if cell is None or not self.cell_ok[cell]:
+                return _MISS
+            i, j, l = cell
+        _, size_k, size_n = self.grid_index.shape
+        return self._choices[(i * size_k + j) * size_n + l], True, \
+            interpolated
+
+    def _cell(self, m: int, k: int, n: int):
+        """Bracketing cell of a shape inside the bounding box, else None.
+
+        Cell ``i`` spans ``axis[i]..axis[i+1]``: an exact tick anchors
+        the cell whose *lower* edge it is, the last tick clips into the
+        last cell, and a single-value axis maps everything to cell 0.
+        """
+        cell = []
+        for ticks, value in zip(self._ticks, (m, k, n)):
+            if value < ticks[0] or value > ticks[-1]:
+                return None
+            cell.append(min(bisect_right(ticks, value) - 1,
+                            max(len(ticks) - 2, 0)))
+        return tuple(cell)
 
     @staticmethod
     def _as_dims(shapes) -> np.ndarray:
@@ -338,13 +324,12 @@ class DecisionTable:
         return dims.reshape(-1, 3) if dims.size else dims.reshape(0, 3)
 
     def lookup_batch(self, shapes):
-        """Vectorised probe: ``(choices, resolved)`` aligned with input.
+        """Batch probe: ``(choices, resolved)`` aligned with input.
 
         ``choices`` is int64; entries where ``resolved`` is False are 0
         and the caller must fall through to the plan for those shapes.
-        One fancy-indexing pass regardless of batch size.
         """
-        choices, resolved, _ = self._lookup_dims(self._as_dims(shapes))
+        choices, resolved, _ = self.lookup_batch_ex(shapes)
         return choices, resolved
 
     def lookup_batch_ex(self, shapes):
@@ -353,31 +338,25 @@ class DecisionTable:
         Returns ``(choices, resolved, interpolated)`` — the extra mask
         marks resolved entries answered between lattice points, so the
         predictor can account tier-0 interpolation separately from
-        exact hits.
+        exact hits.  Each shape goes through the scalar kernel.
         """
-        return self._lookup_dims(self._as_dims(shapes))
+        rows = [self._resolve(m, k, n)
+                for m, k, n in self._as_dims(shapes).tolist()]
+        cols = np.array(rows, dtype=np.int64).reshape(-1, 3).T.copy()
+        return cols[0], cols[1].astype(bool), cols[2].astype(bool)
 
     def lookup(self, m: int, k: int, n: int):
-        """Scalar probe: the thread choice, or ``None`` off the lattice.
-
-        A thin wrapper over the batch kernel (one code path to
-        validate) through a persistent scratch row, so the scalar hot
-        path allocates nothing per call.  Like the predictor counters
-        it feeds, the scalar path is not re-entrant.
-        """
+        """Scalar probe: the thread choice, or ``None`` off the lattice."""
         choice, _ = self.lookup_ex(m, k, n)
         return choice
 
     def lookup_ex(self, m: int, k: int, n: int):
         """Scalar probe with attribution: ``(choice or None, interpolated)``."""
-        buf = self._scratch
-        buf[0, 0] = m
-        buf[0, 1] = k
-        buf[0, 2] = n
-        choices, resolved, interpolated = self._lookup_dims(buf)
-        if not resolved[0]:
+        choice, resolved, interpolated = self._resolve(int(m), int(k),
+                                                       int(n))
+        if not resolved:
             return None, False
-        return int(choices[0]), bool(interpolated[0])
+        return choice, interpolated
 
     # -- reporting -------------------------------------------------------
     def describe(self) -> dict:
@@ -474,8 +453,7 @@ def _plateau_probe_points(axes, probe_dims, n_probe: int) -> np.ndarray:
     merged = np.concatenate(points, axis=0)
     exact = np.ones(len(merged), dtype=bool)
     for axis, col in zip(axes, merged.T):
-        _, is_exact, _ = _snap_axis(axis, col)
-        exact &= is_exact
+        exact &= np.isin(col, axis)
     return np.unique(merged[~exact], axis=0)
 
 
@@ -585,10 +563,9 @@ def _validate_plateaus(table: DecisionTable, predictor, probe_dims,
         plan = table.thread_grid[np.argmin(scores, axis=1)]
         bad = answers != plan
         if bad.any():
-            cells = tuple(_cell_axis(axis, col) for axis, col
-                          in zip(table.axes, sample[bad].T))
             before = int(table.cell_ok.sum())
-            table.cell_ok[cells] = False
+            for m, k, n in sample[bad].tolist():
+                table.cell_ok[table._cell(m, k, n)] = False
             demoted += before - int(table.cell_ok.sum())
     table.meta["validation_probes"] = int(checked)
     table.meta["demoted_cells"] = int(demoted)

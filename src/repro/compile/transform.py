@@ -8,17 +8,22 @@ a :class:`FusedTransform` that
 
 * pushes the column gather to the *front* — pruned columns are never
   Yeo-Johnson-transformed or standardised at all,
-* applies the per-column scalar map (Yeo-Johnson lambda) and the affine
-  stages in one pass per surviving column,
+* runs the Yeo-Johnson map and the affine stages over the whole
+  gathered block, a few array calls for all columns together, with
+  only the power / ``log1p`` call made once per column,
 * validates the input once instead of once per stage.
 
 All folded operations are column-independent and element-wise, and the
-fused path executes the *same* floating-point operations per kept column
-(it reuses :func:`~repro.preprocessing.yeo_johnson.yeo_johnson` and the
-stages' own mean/scale arrays), so the output is **bitwise identical**
-to the object pipeline's.  Affine stages are kept as a sequence rather
-than composed algebraically — ``((x-m1)/s1 - m2)/s2`` is not bitwise
-``(x-M)/S`` — so identity survives even pipelines with several scalers.
+fused path executes the *same* floating-point operations per element as
+:func:`~repro.preprocessing.yeo_johnson.yeo_johnson` and the stages'
+own mean/scale arrays, so the output is **bitwise identical** to the
+object pipeline's.  The gathered block is Fortran-ordered, so each
+power / ``log1p`` call meets one contiguous column and a scalar
+exponent — the same call shape the per-column reference makes, which
+keeps vectorised math kernels on the same code path.  Affine stages
+are kept as a sequence rather than composed algebraically —
+``((x-m1)/s1 - m2)/s2`` is not bitwise ``(x-M)/S`` — so identity
+survives even pipelines with several scalers.
 
 Pipelines containing stages this module does not understand are not
 folded: :func:`lower_pipeline` returns ``None`` and the caller keeps the
@@ -32,11 +37,57 @@ import numpy as np
 from repro.ml.base import check_array
 from repro.preprocessing.correlation import CorrelationPruner
 from repro.preprocessing.standard import StandardScaler
-from repro.preprocessing.yeo_johnson import YeoJohnsonTransformer, yeo_johnson
+from repro.preprocessing.yeo_johnson import YeoJohnsonTransformer
+
+#: ``yeo_johnson``'s tolerance for treating lambda as exactly 0 or 2.
+_LAMBDA_EPS = 1e-10
+
+
+def _branch(base, log_arg, exponents, negate: bool):
+    """One Yeo-Johnson branch for every column ``j`` of the
+    Fortran-ordered inputs: ``(power(base[:, j], e_j) - 1) / e_j``, or
+    ``log1p(log_arg[:, j])`` where ``e_j`` is 0; ``negate`` flips the
+    sign before the divide."""
+    use_power = np.abs(exponents) > _LAMBDA_EPS
+    out = np.empty_like(base)
+    # Rows of the transposes are the contiguous columns.
+    for col, log_col, out_col, exponent, power in zip(
+            base.T, log_arg.T, out.T, exponents.tolist(),
+            use_power.tolist()):
+        if power:
+            np.power(col, exponent, out=out_col)
+        else:
+            np.log1p(log_col, out=out_col)
+    np.subtract(out, 1.0, out=out, where=use_power)
+    if negate:
+        np.negative(out, out=out)
+    np.divide(out, exponents, out=out, where=use_power)
+    return out
+
+
+def _yeo_johnson_block(Z, lambdas):
+    """``yeo_johnson(Z[:, j], lambdas[j])`` for every column of the
+    Fortran-ordered ``Z`` at once, bitwise.
+
+    Entries ``x >= 0`` take ``(power(x + 1, lam) - 1) / lam``
+    (``log1p(x)`` at lam = 0); negative entries, computed only when one
+    exists, take ``-(power(1 - x, 2 - lam) - 1) / (2 - lam)``
+    (``-log1p(-x)`` at lam = 2).
+    """
+    neg = Z < 0
+    if not neg.any():
+        return _branch(Z + 1.0, Z, lambdas, negate=False)
+    # Each branch runs over the whole block and keeps only its own
+    # entries, so NaNs in the other entries are expected.
+    with np.errstate(invalid="ignore", divide="ignore"):
+        out = _branch(Z + 1.0, Z, lambdas, negate=False)
+        low = _branch(1.0 - Z, -Z, 2.0 - lambdas, negate=True)
+    np.copyto(out, low, where=neg)
+    return out
 
 
 class FusedTransform:
-    """Gather -> Yeo-Johnson -> affine chain, one pass per kept column.
+    """Gather -> Yeo-Johnson -> affine chain over the gathered block.
 
     Parameters
     ----------
@@ -84,16 +135,15 @@ class FusedTransform:
         if X.shape[1] != self.n_features_in:
             raise ValueError(f"X has {X.shape[1]} features, "
                              f"expected {self.n_features_in}")
-        out = np.empty((X.shape[0], self.keep.size), dtype=np.float64,
-                       order=self.out_order)
-        for j, src in enumerate(self.keep):
-            col = X[:, src]
-            if self.lambdas is not None:
-                col = yeo_johnson(col, self.lambdas[j])
-            for mean, scale in self.affines:
-                col = (col - mean[j]) / scale[j]
-            out[:, j] = col
-        return out
+        # A fancy column gather copies; Fortran order makes every
+        # column of the block contiguous.
+        Z = np.asfortranarray(X[:, self.keep], dtype=np.float64)
+        if self.lambdas is not None:
+            Z = _yeo_johnson_block(Z, self.lambdas)
+        for mean, scale in self.affines:
+            Z -= mean
+            Z /= scale
+        return Z if self.out_order == "F" else np.ascontiguousarray(Z)
 
     @property
     def nbytes(self) -> int:

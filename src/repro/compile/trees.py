@@ -14,13 +14,23 @@ one address space (per-tree node offsets, children rebased) and traverses
 of numpy calls is ``O(max_depth)`` instead of ``O(sum of depths)`` and
 each call touches an array large enough to amortise dispatch overhead.
 
-Leaves are packed as self-loops (``left == right == node``) with a dummy
-feature index of 0, so a cursor that reaches a leaf early simply stays
-there while deeper trees keep walking — no masking or gather of "active"
-rows is needed.  The per-(tree, sample) comparisons are the same
-``X[i, feature] <= threshold`` the object path executes against the same
-float64 node arrays, so packed per-tree predictions are **bitwise
-identical** to calling ``tree.predict`` per tree.
+The walk runs on an interleaved layout derived from the node arrays.  A
+cursor holds twice its node's index; ``feature``/``threshold`` are
+repeated per child slot and the two children sit side by side, right
+then left, so one level is a feature gather from the row-major flattened
+``X``, one threshold compare and one child gather at ``cursor +
+went_left`` — no ``where`` over both children.  Leaves are packed as
+self-loops with a dummy feature index of 0, so a cursor that reaches a
+leaf early simply stays there while deeper trees keep walking — no
+masking or gather of "active" rows is needed.  Deep, ragged ensembles
+(the paper's forests) would then walk mostly parked cursors, so the
+levels at which to drop them are planned once per ensemble from its
+shape, not checked per level (:meth:`PackedTrees._derive`).  The
+per-(tree, sample)
+comparisons are the same ``X[i, feature] <= threshold`` the object path
+executes against the same float64 node arrays, so packed per-tree
+predictions are **bitwise identical** to calling ``tree.predict`` per
+tree.
 """
 
 from __future__ import annotations
@@ -37,7 +47,16 @@ class PackedTrees:
     """
 
     __slots__ = ("feature", "threshold", "left", "right", "value",
-                 "roots", "is_leaf", "max_depth", "n_trees", "n_nodes")
+                 "roots", "is_leaf", "max_depth", "n_trees", "n_nodes",
+                 "_feature2", "_threshold2", "_child2", "_live2",
+                 "_compact")
+
+    #: The slots that are the ensemble's identity, in pickle order.  The
+    #: underscored slots are the walk's layout and plan, rebuilt by
+    #: :meth:`_derive` and never pickled, so serving leaves a plan's
+    #: pickle unchanged.
+    _STATE = ("feature", "threshold", "left", "right", "value", "roots",
+              "is_leaf", "max_depth", "n_trees", "n_nodes")
 
     def __init__(self, feature, threshold, left, right, value, roots,
                  max_depth: int):
@@ -57,6 +76,51 @@ class PackedTrees:
         self.left = np.where(self.is_leaf, idx, self.left)
         self.right = np.where(self.is_leaf, idx, self.right)
         self.feature = np.where(self.is_leaf, 0, self.feature)
+        self._derive()
+
+    def _derive(self) -> None:
+        """Build the interleaved walk layout and the compaction plan.
+
+        Layout (module docstring): slot ``2 * node + went_left`` holds
+        the node's feature, threshold and the doubled index of the
+        child taken, and whether that slot's node is internal.
+
+        Plan: ``_compact[level]`` says whether the walk drops the
+        cursors parked on leaves after that level.  The share of
+        cursors still on internal nodes is estimated as if every split
+        sent half each way, and the walk compacts wherever that share
+        has halved since the last compaction — the rule a per-level
+        count would apply, without counting.  Boosted ensembles of
+        full shallow trees never compact; deep forests compact most
+        levels of their tail.
+        """
+        self._feature2 = np.repeat(self.feature, 2)
+        self._threshold2 = np.repeat(self.threshold, 2)
+        self._child2 = 2 * np.column_stack([self.right, self.left]).ravel()
+        self._live2 = np.repeat(~self.is_leaf, 2)
+        mass = np.zeros(self.n_nodes)
+        mass[self.roots] = 1.0 / self.n_trees
+        self._compact = []
+        kept = 1.0
+        for level in range(self.max_depth):
+            # Leaves are self-loops, so they keep their mass.
+            mass = (np.bincount(self.left, mass / 2, self.n_nodes)
+                    + np.bincount(self.right, mass / 2, self.n_nodes))
+            live = float(mass[~self.is_leaf].sum())
+            compact = 2 * live <= kept and level + 1 < self.max_depth
+            self._compact.append(compact)
+            kept = live if compact else kept
+
+    def __getstate__(self):
+        # The default slots state, (None, {slot: value}), restricted to
+        # the identity slots: plans pickle as they did before the walk
+        # layout existed.
+        return None, {name: getattr(self, name) for name in self._STATE}
+
+    def __setstate__(self, state) -> None:
+        for name, value in state[1].items():
+            setattr(self, name, value)
+        self._derive()
 
     @classmethod
     def from_hist_trees(cls, trees) -> "PackedTrees":
@@ -112,31 +176,33 @@ class PackedTrees:
         arrays; only the iteration order over (tree, sample) pairs
         changes, and no arithmetic depends on it.
 
-        One cursor per (tree, sample) pair advances level by level;
-        once most cursors sit on leaves the live ones are compacted so
-        the deep tail of the deepest tree is walked by a small array,
-        not the full ensemble front.
+        One doubled-index cursor per (tree, sample) pair, tree-major,
+        walks ``max_depth`` levels; a sample's features are read from
+        the row-major flattened ``X`` at its row offset plus the node's
+        feature.  At the planned levels the cursors parked on leaves
+        are written to the result and dropped from the walk.
         """
-        n = X.shape[0]
-        result = np.repeat(self.roots, n)   # final node per (tree, sample)
-        sample = np.tile(np.arange(n), self.n_trees)
-        idx = np.arange(result.size)        # flat positions still walking
-        cur, samp = result, sample
-        for _ in range(self.max_depth):
-            go_left = X[samp, self.feature[cur]] <= self.threshold[cur]
-            cur = np.where(go_left, self.left[cur], self.right[cur])
-            alive = ~self.is_leaf[cur]
-            n_alive = int(alive.sum())
-            if n_alive == 0:
-                result[idx] = cur
-                break
-            if n_alive * 2 <= cur.size:
-                result[idx] = cur
-                keep = np.nonzero(alive)[0]
-                idx, cur, samp = idx[keep], cur[keep], samp[keep]
-        else:
-            result[idx] = cur
-        return self.value[result].reshape(self.n_trees, n)
+        n, width = X.shape
+        flat = np.ravel(X)
+        rows = np.tile(np.arange(0, n * width, width), self.n_trees)
+        cursor = np.repeat(2 * self.roots, n)
+        result = where = None   # final cursors; result positions walking
+        for compact in self._compact:
+            went_left = flat[rows + self._feature2[cursor]] \
+                <= self._threshold2[cursor]
+            cursor = self._child2[cursor + went_left]
+            if compact:
+                live = np.flatnonzero(self._live2[cursor])
+                if where is None:
+                    result, where = cursor, live
+                else:
+                    result[where] = cursor
+                    where = where[live]
+                cursor, rows = cursor[live], rows[live]
+        if where is not None:
+            result[where] = cursor
+            cursor = result
+        return self.value[cursor >> 1].reshape(self.n_trees, n)
 
     @property
     def nbytes(self) -> int:

@@ -28,6 +28,12 @@ FEATURE_NAMES_GROUP2 = (
 )
 
 
+#: Output columns of each group selection within the full 17-column
+#: table (group 1 is columns 0-8, group 2 columns 9-16).
+_GROUP_COLUMNS = {"both": slice(None), "group1": slice(0, 9),
+                  "group2": slice(9, None), "raw": slice(0, 4)}
+
+
 class FeatureBuilder:
     """Builds the Table II feature matrix from ``(m, k, n, p)`` arrays.
 
@@ -39,60 +45,69 @@ class FeatureBuilder:
     """
 
     def __init__(self, groups: str = "both"):
-        if groups not in ("both", "group1", "group2", "raw"):
+        if groups not in _GROUP_COLUMNS:
             raise ValueError(f"unknown feature group selection {groups!r}")
         self.groups = groups
 
     @property
     def names(self) -> tuple:
-        if self.groups == "raw":
-            return ("m", "k", "n", "n_threads")
-        if self.groups == "group1":
-            return FEATURE_NAMES_GROUP1
-        if self.groups == "group2":
-            return FEATURE_NAMES_GROUP2
-        return FEATURE_NAMES_GROUP1 + FEATURE_NAMES_GROUP2
+        return (FEATURE_NAMES_GROUP1 + FEATURE_NAMES_GROUP2)[
+            _GROUP_COLUMNS[self.groups]]
 
     @property
     def n_features(self) -> int:
         return len(self.names)
 
+    def _assemble(self, dims: np.ndarray, p: np.ndarray) -> np.ndarray:
+        """The kernel behind every builder: ``(S * P, n_features)`` rows.
+
+        ``dims`` is an ``(S, 3)`` float64 array of shapes and ``p`` an
+        ``(S, P)`` or ``(1, P)`` float64 array of thread counts; rows
+        are shape-major.  The eight shape terms are computed once per
+        shape, and group 2 is one broadcast divide of them by ``p``.
+        """
+        if (dims < 1).any():
+            raise ValueError("GEMM dimensions must be >= 1")
+        if (p < 1).any():
+            raise ValueError("thread counts must be >= 1")
+        # m, k, n, m*k, m*n, k*n, m*k*n, m*k + k*n + m*n
+        terms = np.empty((dims.shape[0], 8))
+        terms[:, :3] = dims
+        np.multiply(dims[:, :1], dims[:, 1:], out=terms[:, 3:5])
+        np.multiply(dims[:, 1], dims[:, 2], out=terms[:, 5])
+        np.multiply(terms[:, 3], dims[:, 2], out=terms[:, 6])
+        np.add(terms[:, 3], terms[:, 5], out=terms[:, 7])
+        terms[:, 7] += terms[:, 4]
+        out = np.empty((dims.shape[0], p.shape[1], 17))
+        out[:, :, :3] = terms[:, None, :3]
+        out[:, :, 3] = p
+        out[:, :, 4:9] = terms[:, None, 3:]
+        np.divide(terms[:, None, :], p[:, :, None], out=out[:, :, 9:])
+        out = out.reshape(-1, 17)
+        if self.groups == "both":
+            return out
+        return np.ascontiguousarray(out[:, _GROUP_COLUMNS[self.groups]])
+
     def build(self, m, k, n, p) -> np.ndarray:
         """Feature matrix of shape ``(len(m), n_features)``.
 
         Inputs broadcast against each other, so a single shape with a
-        vector of candidate thread counts works directly (the runtime
-        predictor's hot path).
+        vector of candidate thread counts works directly.
         """
         m, k, n, p = np.broadcast_arrays(
             np.asarray(m, dtype=np.float64), np.asarray(k, dtype=np.float64),
             np.asarray(n, dtype=np.float64), np.asarray(p, dtype=np.float64))
-        if (m < 1).any() or (k < 1).any() or (n < 1).any():
-            raise ValueError("GEMM dimensions must be >= 1")
-        if (p < 1).any():
-            raise ValueError("thread counts must be >= 1")
-
-        mk, mn, kn = m * k, m * n, k * n
-        mkn = mk * n
-        total = mk + kn + mn
-        if self.groups == "raw":
-            cols = [m, k, n, p]
-        elif self.groups == "group1":
-            cols = [m, k, n, p, mk, mn, kn, mkn, total]
-        elif self.groups == "group2":
-            cols = [m / p, k / p, n / p, mk / p, mn / p, kn / p, mkn / p, total / p]
-        else:
-            cols = [m, k, n, p, mk, mn, kn, mkn, total,
-                    m / p, k / p, n / p, mk / p, mn / p, kn / p, mkn / p, total / p]
-        return np.column_stack([c.ravel() for c in cols])
+        dims = np.stack([m.ravel(), k.ravel(), n.ravel()], axis=1)
+        return self._assemble(dims, p.reshape(-1, 1))
 
     def build_for_grid(self, m: int, k: int, n: int, thread_grid) -> np.ndarray:
-        """Features for one shape across every candidate thread count."""
-        p = np.asarray(list(thread_grid), dtype=np.float64)
+        """Features for one shape across every candidate thread count
+        (the runtime predictor's hot path)."""
+        p = np.asarray(thread_grid, dtype=np.float64)
         if p.size == 0:
             raise ValueError("thread_grid must be non-empty")
-        return self.build(np.full(p.size, m), np.full(p.size, k),
-                          np.full(p.size, n), p)
+        dims = np.asarray([[m, k, n]], dtype=np.float64)
+        return self._assemble(dims, p.reshape(1, -1))
 
     def build_for_batch(self, shapes, thread_grid) -> np.ndarray:
         """Features for many shapes across the grid in one matrix.
@@ -103,7 +118,7 @@ class FeatureBuilder:
         prediction path reshapes the model output to
         ``(len(shapes), |grid|)`` on this contract.
         """
-        p = np.asarray(list(thread_grid), dtype=np.float64)
+        p = np.asarray(thread_grid, dtype=np.float64)
         if p.size == 0:
             raise ValueError("thread_grid must be non-empty")
         dims = np.asarray(list(shapes), dtype=np.float64)
@@ -111,10 +126,7 @@ class FeatureBuilder:
             raise ValueError("shapes must be a sequence of (m, k, n) triples")
         if dims.shape[0] == 0:
             raise ValueError("shapes must be non-empty")
-        m = np.repeat(dims[:, 0], p.size)
-        k = np.repeat(dims[:, 1], p.size)
-        n = np.repeat(dims[:, 2], p.size)
-        return self.build(m, k, n, np.tile(p, dims.shape[0]))
+        return self._assemble(dims, p.reshape(1, -1))
 
     def config(self) -> dict:
         return {"groups": self.groups}

@@ -147,7 +147,7 @@ class ThreadPredictor:
         self.n_table_hits = 0
         self.n_table_fallbacks = 0
         # Interpolated answers are a sub-count of n_table_hits: lookups
-        # the table resolved *between* lattice points (plateau/nearest).
+        # the table resolved *between* lattice points (plateau mode).
         self.n_table_interpolated = 0
         # Every table fallback deposits its shape here; the registry's
         # refine_table retrofit densifies the lattice where they cluster.
@@ -256,8 +256,8 @@ class ThreadPredictor:
         ``shapes`` is a sequence of ``(m, k, n)`` triples (or objects
         with a ``dims`` attribute).  Unique keys probe the cache in one
         :meth:`~repro.engine.cache.PredictionCache.get_many` pass; the
-        remaining shapes resolve through the decision table in a single
-        fancy-indexing lookup, and only the off-lattice leftovers are
+        remaining shapes resolve through the decision table in one
+        batch lookup, and only the off-lattice leftovers are
         pushed through the pipeline/model in one vectorised evaluation.
         Choices come back as an int64 array aligned with the input
         order and are bitwise-identical to calling

@@ -18,6 +18,17 @@ from repro.preprocessing.yeo_johnson import YeoJohnsonTransformer
 
 GRID = [1, 2, 4, 8, 12, 16]
 
+#: Sixteen shapes at the edges of the shape domain: unit dimensions, the
+#: axis maxima of a campaign lattice under a 500 MB cap (72760, 73942,
+#: 71969), and shapes just and far beyond that lattice's bounding box.
+EDGE_SHAPES = [
+    (1, 1, 1), (1, 73942, 1), (72760, 1, 1), (1, 1, 71969),
+    (72760, 73942, 71969), (72760, 1, 71969), (1, 73942, 71969),
+    (2, 1, 3000), (16, 3000, 1), (72761, 73943, 71970),
+    (72761, 2, 5), (3, 73943, 1), (1, 2, 71970),
+    (250000, 250000, 250000), (250000, 1, 1), (1, 1, 250000),
+]
+
 
 def fit_stages(X, use_yeo_johnson: bool = True):
     """Fit the inference-side stages the way the training workflow does."""

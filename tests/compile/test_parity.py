@@ -13,7 +13,7 @@ import pytest
 from repro.core.predictor import ThreadPredictor
 from repro.ml.registry import candidate_models
 
-from tests.compile.conftest import GRID, random_query_shapes
+from tests.compile.conftest import EDGE_SHAPES, GRID, random_query_shapes
 
 ALL_CANDIDATES = candidate_models(budget="fast", include_extra=True,
                                   random_state=0)
@@ -53,6 +53,25 @@ class TestEveryModel:
         for m, k, n in random_query_shapes(8, seed=100):
             assert obj.predict_threads(m, k, n) \
                 == comp.predict_threads(m, k, n)
+
+    def test_edge_shapes_scalar_and_batched(self, predictor_pairs, name):
+        obj, comp = predictor_pairs[name]
+        np.testing.assert_array_equal(
+            obj.predicted_runtimes_batch(EDGE_SHAPES),
+            comp.predicted_runtimes_batch(EDGE_SHAPES))
+        obj.invalidate_memo()
+        expected = [obj.predict_threads(*s) for s in EDGE_SHAPES]
+        for m, k, n in EDGE_SHAPES:
+            np.testing.assert_array_equal(obj.predicted_runtimes(m, k, n),
+                                          comp.predicted_runtimes(m, k, n))
+        comp.invalidate_memo()
+        assert [comp.predict_threads(*s) for s in EDGE_SHAPES] == expected
+        for size in (1, 7, 16):
+            comp.invalidate_memo()
+            got = np.concatenate([
+                comp.predict_threads_batch(EDGE_SHAPES[i:i + size])
+                for i in range(0, len(EDGE_SHAPES), size)])
+            np.testing.assert_array_equal(got, expected)
 
     def test_single_shape_batch(self, predictor_pairs, name):
         obj, comp = predictor_pairs[name]

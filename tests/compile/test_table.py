@@ -205,29 +205,10 @@ class TestDegenerateLattices:
         assert table.lookup(17, 31, 7) is None
         assert table.lookup(16, 31, 8) is None
 
-    def test_nearest_snap_resolves_in_box_only(self, compiled):
-        table = compile_table(compiled, axes=AXES, snap="nearest")
-        # In the bounding box each axis snaps independently: m=40 is
-        # equidistant from 16 and 64 (tie -> larger), k=79 and n=48 sit
-        # just below their midpoints, k=80 and n=49 just above.
-        assert table.lookup(40, 79, 48) == table.lookup(64, 31, 7)
-        assert table.lookup(39, 80, 49) == table.lookup(16, 128, 90)
-        # Outside the box: still falls through.
-        assert table.lookup(15, 31, 7) is None
-        assert table.lookup(2000, 31, 7) is None
-
-    def test_nearest_snap_is_exact_on_lattice_points(self, compiled):
-        exact = compile_table(compiled, axes=AXES, snap="exact")
-        nearest = compile_table(compiled, axes=AXES, snap="nearest")
-        points = lattice_shapes(exact)
-        got_e, ok_e = exact.lookup_batch(points)
-        got_n, ok_n = nearest.lookup_batch(points)
-        assert ok_e.all() and ok_n.all()
-        np.testing.assert_array_equal(got_e, got_n)
-
     def test_invalid_snap_rejected(self, compiled):
-        with pytest.raises(ValueError, match="snap"):
-            compile_table(compiled, axes=AXES, snap="fuzzy")
+        for snap in ("fuzzy", "nearest"):
+            with pytest.raises(ValueError, match="snap"):
+                compile_table(compiled, axes=AXES, snap=snap)
 
     def test_oversized_lattice_rejected(self, compiled):
         big = np.arange(1, 102)
