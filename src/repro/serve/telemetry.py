@@ -78,15 +78,23 @@ class ServeTelemetry:
             self.metrics, component="serve", instance=self.instance)
 
     # -- recording -------------------------------------------------------
+    # Entries are built on a miss only: ``setdefault`` would construct
+    # (and discard) two seeded reservoirs on every recorded request.
     def _client(self, client: str) -> dict:
-        return self.per_client.setdefault(
-            client, {"submitted": 0, "served": 0, "failed": 0, "rejected": 0})
+        entry = self.per_client.get(client)
+        if entry is None:
+            entry = self.per_client[client] = {
+                "submitted": 0, "served": 0, "failed": 0, "rejected": 0}
+        return entry
 
     def _routine(self, routine: str) -> dict:
-        return self.per_routine.setdefault(
-            routine, {"submitted": 0, "served": 0, "failed": 0,
-                      "rejected": 0, "latencies": Reservoir(self._capacity),
-                      "waits": Reservoir(self._capacity)})
+        entry = self.per_routine.get(routine)
+        if entry is None:
+            entry = self.per_routine[routine] = {
+                "submitted": 0, "served": 0, "failed": 0, "rejected": 0,
+                "latencies": Reservoir(self._capacity),
+                "waits": Reservoir(self._capacity)}
+        return entry
 
     def record_admission(self, client: str, queue_depth: int,
                          routine: Optional[str] = None, n: int = 1) -> None:

@@ -43,6 +43,31 @@ class TestServeTelemetryUnit:
         assert "latency_ms" not in stats
         assert stats["mean_batch_size"] == 0.0
 
+    def test_routine_entry_built_once(self, monkeypatch):
+        """Recording a request for a known routine builds no reservoir."""
+        import repro.serve.telemetry as telemetry_module
+
+        built = []
+
+        class CountingReservoir(telemetry_module.Reservoir):
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(telemetry_module, "Reservoir", CountingReservoir)
+        t = ServeTelemetry()
+        before = len(built)
+        t.record_admission("a", queue_depth=0, routine="gemm")
+        first = len(built)
+        assert first - before == 2  # the routine's latency and wait stores
+        for _ in range(5):
+            t.record_admission("a", queue_depth=0, routine="gemm")
+            t.record_done("a", latency=0.001, wait=0.0, routine="gemm")
+            t.record_failure("a", routine="gemm")
+            t.record_rejection("a", "overload", routine="gemm")
+        assert len(built) == first
+        assert t.stats()["routines"]["gemm"]["served"] == 5
+
 
 class TestServerTelemetryEndToEnd:
     @pytest.fixture
