@@ -451,12 +451,15 @@ def test_slab_submit_future_economy(table_bundle, save_result,
 
     gc.collect()
     slab_records, slab_dt = asyncio.run(bulk())
+    bulk_slabs = list(created)
     single_records, single_dt = asyncio.run(streaming())
 
     # The acceptance assertion: ceil(256 / 16) slabs, one future each.
-    assert len(created) == 16
-    assert all(slab.count == 16 for slab in created)
-    assert len({id(slab.future) for slab in created}) == 16
+    assert len(bulk_slabs) == 16
+    assert all(slab.count == 16 for slab in bulk_slabs)
+    assert len({id(slab.future) for slab in bulk_slabs}) == 16
+    # Each per-request submit is a one-slot slab of its own.
+    assert len(created) - len(bulk_slabs) == len(burst)
 
     # Bulk and streaming submission produce identical records in order.
     assert [(r.spec, r.n_threads) for r in slab_records] \
@@ -473,7 +476,7 @@ def test_slab_submit_future_economy(table_bundle, save_result,
               "(max_batch=16, instant backend)"))
     save_bench_json("serve", "slab_submit", {
         "req_per_s": round(slab_rps, 1), "served": len(burst),
-        "futures": len(created)})
+        "futures": len(bulk_slabs)})
     save_bench_json("serve", "per_request_submit", {
         "req_per_s": round(single_rps, 1), "served": len(burst),
         "futures": len(burst)})

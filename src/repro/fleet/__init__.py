@@ -16,13 +16,12 @@ from repro.fleet.telemetry import FleetTelemetry
 from repro.fleet.transport import (ErrorFrame, ReadyFrame, ReloadedFrame,
                                    ReloadFrame, ResultFrame, SlabFrame,
                                    StatsFrame, StatsReply, StopFrame,
-                                   StoppedFrame, chunk_slots,
-                                   chunk_slots_by_cost)
+                                   StoppedFrame, chunk_slots)
 from repro.fleet.worker import worker_main
 
 __all__ = [
     "FleetServer", "WorkerFailed", "WorkerSpec", "FleetTelemetry",
-    "resolve_factory", "worker_main", "chunk_slots", "chunk_slots_by_cost",
+    "resolve_factory", "worker_main", "chunk_slots",
     "SlabFrame", "ReloadFrame", "StatsFrame", "StopFrame",
     "ReadyFrame", "ResultFrame", "ErrorFrame", "ReloadedFrame",
     "StatsReply", "StoppedFrame",

@@ -8,14 +8,15 @@ surface as a single server: ``async with``, ``submit``, ``submit_many``,
 ``reload``, ``stats`` — so :func:`~repro.serve.trace.replay_trace`
 drives a fleet unchanged.
 
-Request flow: a burst routes over the alive workers (least-loaded by
-live in-flight counts, or consistent-hash for cache affinity), is
-admitted all-or-nothing against ``max_pending``, then crosses each
-worker's pipe as ``max_batch``-sized
-:class:`~repro.fleet.transport.SlabFrame` messages — one reply future
-per slab, not per request.  Pipe sends run in the default executor
-under a per-worker lock (ordered, never blocking the loop); one reader
-task per worker resolves futures as frames come back.
+Request flow is the shared :class:`~repro.serve.front.Front` path: a
+burst routes over the alive workers (least-loaded by live in-flight
+counts, or consistent-hash for cache affinity), is admitted
+all-or-nothing against ``max_pending``, then crosses each worker's pipe
+as ``max_batch``-sized :class:`~repro.fleet.transport.SlabFrame`
+messages — one reply future per slab, not per request.  Each worker has
+one writer task draining its outbox into the pipe in the default
+executor (ordered per worker, concurrent across workers, never blocking
+the loop) and one reader task resolving futures as frames come back.
 
 A worker death fans :class:`WorkerFailed` out to exactly the requests
 that were on that worker, removes it from the routing ring, and leaves
@@ -42,11 +43,11 @@ from repro.fleet.telemetry import FleetTelemetry
 from repro.fleet.transport import (ErrorFrame, ReadyFrame, ReloadedFrame,
                                    ReloadFrame, ResultFrame, SlabFrame,
                                    StatsFrame, StatsReply, StopFrame,
-                                   StoppedFrame, chunk_slots,
-                                   chunk_slots_by_cost)
+                                   StoppedFrame)
 from repro.fleet.worker import worker_main
 from repro.serve.cost import CostModel
-from repro.serve.request import ServerClosed, ServerOverloaded
+from repro.serve.front import Front
+from repro.serve.request import ServerOverloaded
 from repro.serve.router import (CanaryRouter, ConsistentHashRouter,
                                 CostAwareLeastLoadedRouter,
                                 LeastLoadedRouter)
@@ -61,19 +62,8 @@ class _Worker:
 
     def __init__(self, spec: WorkerSpec):
         self.spec = spec
-        self.process = None
-        self.conn = None
-        self.pid = None
-        self.alive = False
-        self.dead_handled = False   # _on_death ran for this incarnation
-        self.pending: dict = {}     # msg_id -> (future, n_slots, t0, cost)
-        self.in_flight = 0
-        self.cost_in_flight = 0.0   # outstanding predicted FLOPs
-        self.versions: dict = {}
         self.reloads = 0
-        self.final_stats = None
-        self.reader = None
-        self.lock = None            # asyncio.Lock, created at spawn time
+        self.reset()
 
     def reset(self) -> None:
         """Forget the previous incarnation before a (re)spawn."""
@@ -81,17 +71,23 @@ class _Worker:
         self.conn = None
         self.pid = None
         self.alive = False
-        self.dead_handled = False
-        self.pending = {}
+        self.dead_handled = False   # _on_death ran for this incarnation
+        # msg_id -> (future, n_slots, t0, cost, client)
+        self.pending: dict = {}
         self.in_flight = 0
-        self.cost_in_flight = 0.0
-        self.versions = {}
+        self.cost_in_flight = 0.0   # outstanding predicted FLOPs
+        self.versions: dict = {}
         self.final_stats = None
         self.reader = None
+        self.writer = None
+        self.outbox = None          # asyncio.Queue, created at spawn time
 
 
-class FleetServer:
+class FleetServer(Front):
     """Front router over a pool of spawned ``GemmServer`` processes.
+
+    Admission is fleet-wide and all-or-nothing, with no per-client fair
+    share (each worker's own server runs without one too).
 
     Parameters
     ----------
@@ -130,20 +126,17 @@ class FleetServer:
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate worker names in {names}")
         self._workers = {s.name: _Worker(s) for s in specs}
-        self.cost_model = cost_model if cost_model is not None \
-            else CostModel()
-        self.router = self._build_router(router)
-        self.max_pending = (int(max_pending) if max_pending is not None
-                            else 2 * sum(s.max_queue for s in specs))
-        if self.max_pending < 1:
-            raise ValueError("max_pending must be >= 1")
-        self.telemetry = FleetTelemetry(names, registry=registry)
+        cost_model = cost_model if cost_model is not None else CostModel()
+        super().__init__(
+            self._build_router(router, cost_model), cost_model,
+            max_pending=(int(max_pending) if max_pending is not None
+                         else 2 * sum(s.max_queue for s in specs)),
+            fair_share=None,
+            telemetry=FleetTelemetry(names, registry=registry),
+            price_bursts=True)
         self.spawn_timeout_s = float(spawn_timeout_s)
         self.stats_timeout_s = float(stats_timeout_s)
-        self._pending = 0
         self._msg_id = 0
-        self._started = False
-        self._closing = False
         self._closed = False
 
     @classmethod
@@ -172,14 +165,14 @@ class FleetServer:
         return cls(specs, router=router, registry=registry)
 
     # -- plumbing ---------------------------------------------------------
-    def _build_router(self, choice):
+    def _build_router(self, choice, cost_model):
         names = list(self._workers)
         if choice in ("least_loaded", "least-loaded"):
             return LeastLoadedRouter(names, loads=self._live_loads)
         if choice in ("cost_least_loaded", "cost-least-loaded",
                       "cost_aware"):
             return CostAwareLeastLoadedRouter(names, loads=self._live_costs,
-                                              cost_model=self.cost_model)
+                                              cost_model=cost_model)
         if choice in ("hash", "consistent_hash", "consistent-hash"):
             return ConsistentHashRouter(names)
         if isinstance(choice, str):
@@ -195,17 +188,6 @@ class FleetServer:
     def _live_costs(self) -> dict:
         return {name: worker.cost_in_flight
                 for name, worker in self._workers.items() if worker.alive}
-
-    def _next_id(self) -> int:
-        self._msg_id += 1
-        return self._msg_id
-
-    def _check_open(self) -> None:
-        if not self._started:
-            raise ServerClosed(
-                "fleet not started (use 'async with' or start())")
-        if self._closing:
-            raise ServerClosed("fleet is shutting down")
 
     def _alive(self) -> list:
         return [w for w in self._workers.values() if w.alive]
@@ -252,8 +234,9 @@ class FleetServer:
         worker.pid = ready.pid
         worker.versions = dict(ready.versions)
         worker.alive = True
-        worker.lock = asyncio.Lock()
+        worker.outbox = asyncio.Queue()
         worker.reader = asyncio.ensure_future(self._read_loop(worker))
+        worker.writer = asyncio.ensure_future(self._write_loop(worker))
 
     async def _read_loop(self, worker: _Worker) -> None:
         loop = asyncio.get_running_loop()
@@ -268,43 +251,57 @@ class FleetServer:
         finally:
             self._on_death(worker)
 
-    def _dispatch(self, worker: _Worker, frame) -> None:
+    async def _write_loop(self, worker: _Worker) -> None:
+        """Send the worker's outbox down its pipe, in order.
+
+        Sends run in the default executor, so the loop never blocks and
+        different workers' sends overlap.  A frame on the outbox always
+        reaches the pipe — no caller's cancellation can stop it halfway
+        — or fails with the worker.
+        """
         loop = asyncio.get_running_loop()
+        while True:
+            frame = await worker.outbox.get()
+            try:
+                await loop.run_in_executor(None, worker.conn.send, frame)
+            except (OSError, ValueError):  # the pipe is gone
+                self._on_death(worker)
+                return
+            except Exception as exc:  # noqa: BLE001 - e.g. an unpicklable spec
+                entry = self._settle(worker, getattr(frame, "msg_id", None))
+                if entry is not None:
+                    self._fail(worker, entry, exc)
+
+    def _dispatch(self, worker: _Worker, frame) -> None:
         if isinstance(frame, ResultFrame):
-            entry = worker.pending.pop(frame.msg_id, None)
+            entry = self._settle(worker, frame.msg_id)
             if entry is None:
                 return
-            future, n_slots, t0, cost = entry
-            self._settle(worker, n_slots, cost)
-            self.telemetry.record_completed(worker.spec.name, n_slots,
-                                            loop.time() - t0)
+            future, n_slots, t0 = entry[:3]
+            self.telemetry.record_completed(
+                worker.spec.name, n_slots,
+                asyncio.get_running_loop().time() - t0)
             if not future.done():
-                future.set_result(frame.records)
+                future.set_result(list(frame.records))
         elif isinstance(frame, ErrorFrame):
             if frame.msg_id is None:
                 self.telemetry.registry.event(
                     "fleet_worker_error", worker=worker.spec.name,
                     kind=frame.kind, message=frame.message)
                 return
-            entry = worker.pending.pop(frame.msg_id, None)
-            if entry is None:
-                return
-            future, n_slots, _, cost = entry
-            self._settle(worker, n_slots, cost)
-            if n_slots:
-                self.telemetry.record_failure(worker.spec.name, n_slots)
-            if not future.done():
-                future.set_exception(self._rebuild_error(worker, frame))
+            entry = self._settle(worker, frame.msg_id)
+            if entry is not None:
+                self._fail(worker, entry, self._rebuild_error(worker, frame))
         elif isinstance(frame, ReloadedFrame):
             worker.versions[frame.routine] = frame.version
             worker.reloads += 1
             self.telemetry.record_reload(worker.spec.name)
             if frame.msg_id is not None:
-                entry = worker.pending.pop(frame.msg_id, None)
+                entry = self._settle(worker, frame.msg_id)
                 if entry is not None and not entry[0].done():
                     entry[0].set_result(frame)
         elif isinstance(frame, StatsReply):
-            entry = worker.pending.pop(frame.msg_id, None)
+            entry = self._settle(worker, frame.msg_id)
             if entry is not None and not entry[0].done():
                 entry[0].set_result(frame.stats)
         elif isinstance(frame, StoppedFrame):
@@ -327,15 +324,13 @@ class FleetServer:
         worker.dead_handled = True
         crashed = worker.final_stats is None and not self._closing
         worker.alive = False
-        pending, worker.pending = worker.pending, {}
-        for future, n_slots, _, cost in pending.values():
-            self._settle(worker, n_slots, cost)
-            if n_slots:
-                self.telemetry.record_failure(worker.spec.name, n_slots)
-            if not future.done():
-                future.set_exception(WorkerFailed(
-                    f"worker {worker.spec.name!r} died with the request "
-                    f"in flight"))
+        n_pending = len(worker.pending)
+        for msg_id in list(worker.pending):
+            self._fail(worker, self._settle(worker, msg_id), WorkerFailed(
+                f"worker {worker.spec.name!r} died with the request "
+                f"in flight"))
+        if worker.writer is not None:
+            worker.writer.cancel()
         remove = getattr(self.router, "remove", None)
         if remove is not None:
             try:
@@ -346,7 +341,7 @@ class FleetServer:
             self.telemetry.registry.event("fleet_worker_death",
                                           worker=worker.spec.name,
                                           pid=worker.pid,
-                                          n_pending=len(pending))
+                                          n_pending=n_pending)
 
     async def respawn(self, name: str) -> int:
         """Rebuild a dead worker from its spec; returns the new pid.
@@ -373,10 +368,7 @@ class FleetServer:
         self._closing = True
         loop = asyncio.get_running_loop()
         for worker in self._alive():
-            try:
-                await self._send(worker, StopFrame())
-            except WorkerFailed:
-                pass
+            worker.outbox.put_nowait(StopFrame())
         readers = [w.reader for w in self._workers.values()
                    if w.reader is not None]
         if readers:
@@ -405,41 +397,64 @@ class FleetServer:
     async def __aexit__(self, *exc_info) -> None:
         await self.close()
 
-    # -- transport --------------------------------------------------------
-    async def _send(self, worker: _Worker, frame) -> None:
-        """Ordered, loop-friendly pipe send (executor under a lock)."""
-        loop = asyncio.get_running_loop()
-        async with worker.lock:
-            try:
-                await loop.run_in_executor(None, worker.conn.send, frame)
-            except (OSError, BrokenPipeError, ValueError) as exc:
-                self._on_death(worker)
-                raise WorkerFailed(
-                    f"worker {worker.spec.name!r} pipe is gone: "
-                    f"{exc!r}") from exc
+    # -- shards -----------------------------------------------------------
+    def _shard(self, name: str) -> _Worker:
+        worker = self._workers.get(name)
+        if worker is None:
+            raise KeyError(f"unknown worker {name!r} "
+                           f"(have {sorted(self._workers)})")
+        if not worker.alive:
+            raise WorkerFailed(f"worker {name!r} is not alive")
+        return worker
 
-    def _register(self, worker: _Worker, n_slots: int, cost: float = 0.0):
-        """Allocate (msg_id, future); account slots *and* predicted cost."""
-        loop = asyncio.get_running_loop()
-        msg_id = self._next_id()
-        future = loop.create_future()
-        worker.pending[msg_id] = (future, n_slots, loop.time(), cost)
+    def _limits(self, worker: _Worker) -> tuple:
+        return worker.spec.max_batch, worker.spec.max_batch_cost
+
+    def _deliver(self, worker, name, specs, routines, cost, client, future,
+                 trace_id) -> None:
+        """Register the slab's msg_id and queue its frame for the pipe."""
+        msg_id = self._register(worker, future, len(specs), cost, client)
+        self.telemetry.record_dispatch(name, len(specs))
+        worker.outbox.put_nowait(SlabFrame(msg_id, tuple(specs),
+                                           client=client))
+
+    def _register(self, worker: _Worker, future, n_slots: int = 0,
+                  cost: float = 0.0, client: str = None) -> int:
+        """Allocate a msg_id for ``future``; account slots and cost."""
+        self._msg_id += 1
+        msg_id = self._msg_id
+        worker.pending[msg_id] = (future, n_slots, future.get_loop().time(),
+                                  cost, client)
         worker.in_flight += n_slots
         worker.cost_in_flight += cost
-        self._pending += n_slots
         if cost:
             self.telemetry.record_outstanding(worker.spec.name,
                                               worker.cost_in_flight)
-        return msg_id, future
+        return msg_id
 
-    def _settle(self, worker: _Worker, n_slots: int, cost: float) -> None:
-        """Reverse one pending entry's in-flight accounting."""
+    def _settle(self, worker: _Worker, msg_id):
+        """Pop one pending entry and reverse its accounting, releasing
+        its admission slots; ``None`` if it already settled."""
+        entry = worker.pending.pop(msg_id, None)
+        if entry is None:
+            return None
+        _, n_slots, _, cost, client = entry
         worker.in_flight -= n_slots
-        self._pending -= n_slots
+        if n_slots:
+            self._release(client, n_slots)
         if cost:
             worker.cost_in_flight = max(0.0, worker.cost_in_flight - cost)
             self.telemetry.record_outstanding(worker.spec.name,
                                               worker.cost_in_flight)
+        return entry
+
+    def _fail(self, worker: _Worker, entry, error) -> None:
+        """Fail a settled entry's future, counting its slots as failed."""
+        future, n_slots = entry[:2]
+        if n_slots:
+            self.telemetry.record_failure(worker.spec.name, n_slots)
+        if not future.done():
+            future.set_exception(error)
 
     # -- serving ----------------------------------------------------------
     async def submit(self, spec, client: str = "default",
@@ -451,9 +466,7 @@ class FleetServer:
         :func:`~repro.serve.trace.replay_trace` compatibility (the
         worker's own server assigns trace ids when tracing is on).
         """
-        records = await self.submit_many([spec], client=client,
-                                         worker=worker)
-        return records[0]
+        return (await self._serve([spec], client, worker))[0]
 
     async def submit_many(self, specs, client: str = "default",
                           worker: str = None) -> list:
@@ -465,72 +478,7 @@ class FleetServer:
         frames.  If any slab fails (worker death, worker-side error)
         the first failure is raised after every slab has settled.
         """
-        specs = list(specs)
-        if not specs:
-            return []
-        self._check_open()
-        n = len(specs)
-        if worker is not None:
-            names = [worker] * n
-        else:
-            names = list(self.router.route_batch(specs, client)
-                         if hasattr(self.router, "route_batch")
-                         else (self.router.route(s, client) for s in specs))
-        for name in set(names):
-            target = self._workers.get(name)
-            if target is None:
-                raise KeyError(f"unknown worker {name!r} "
-                               f"(have {sorted(self._workers)})")
-            if not target.alive:
-                raise WorkerFailed(f"worker {name!r} is not alive")
-        if self._pending + n > self.max_pending:
-            self.telemetry.record_rejection(n)
-            raise ServerOverloaded(
-                f"fleet rejected burst of {n}: {self._pending} in flight "
-                f"of max {self.max_pending}")
-        by_worker: dict = {}
-        for i, name in enumerate(names):
-            by_worker.setdefault(name, []).append(i)
-        # Priced once per burst: slab chopping honours per-worker cost
-        # budgets and every dispatch feeds the worker's outstanding-cost
-        # gauge (what the cost-aware router balances on).
-        costs = self.cost_model.cost_of(specs)
-        entries = []  # (slot indices, future)
-        sends = []
-        for name, slots in by_worker.items():
-            target = self._workers[name]
-            budget = target.spec.max_batch_cost
-            if budget is not None:
-                chunks = chunk_slots_by_cost(
-                    slots, [costs[i] for i in slots],
-                    target.spec.max_batch, budget)
-            else:
-                chunks = chunk_slots(slots, target.spec.max_batch)
-            for chunk in chunks:
-                msg_id, future = self._register(
-                    target, len(chunk), cost=sum(costs[i] for i in chunk))
-                self.telemetry.record_dispatch(name, len(chunk))
-                entries.append((chunk, future))
-                sends.append(self._send(target, SlabFrame(
-                    msg_id, tuple(specs[i] for i in chunk), client=client)))
-        await asyncio.gather(*sends, return_exceptions=True)
-        # A failed send already fanned WorkerFailed out via _on_death,
-        # so every future settles; await them all, then raise the first
-        # error so sibling slabs on healthy workers still complete.
-        results = await asyncio.gather(*(future for _, future in entries),
-                                       return_exceptions=True)
-        out = [None] * n
-        error = None
-        for (chunk, _), result in zip(entries, results):
-            if isinstance(result, BaseException):
-                if error is None:
-                    error = result
-                continue
-            for slot, record in zip(chunk, result):
-                out[slot] = record
-        if error is not None:
-            raise error
-        return out
+        return await self._serve(list(specs), client, worker)
 
     # -- control plane ----------------------------------------------------
     async def reload(self, routine: str, version="latest",
@@ -547,10 +495,12 @@ class FleetServer:
                    if workers is None or w.spec.name in set(workers)]
         if not targets:
             raise WorkerFailed("no alive workers to reload")
+        loop = asyncio.get_running_loop()
         acks = {}
         for target in targets:
-            msg_id, future = self._register(target, 0)
-            await self._send(target, ReloadFrame(msg_id, str(routine),
+            future = loop.create_future()
+            msg_id = self._register(target, future)
+            target.outbox.put_nowait(ReloadFrame(msg_id, str(routine),
                                                  version))
             acks[target.spec.name] = future
         out = {}
@@ -585,14 +535,15 @@ class FleetServer:
             raise KeyError(f"canary {canary!r} is not an alive worker "
                            f"(have {alive})")
         reference = next(name for name in alive if name != canary)
+        probes = list(probes)  # read once: a generator yields only once
         old_version = self._workers[canary].versions.get(str(routine))
         ack = await self.reload(routine, version=version, workers=[canary])
         report = {"routine": str(routine), "canary": canary,
                   "reference": reference, "fraction": float(fraction),
                   "old_version": old_version,
                   "version": ack[canary]["version"],
-                  "n_probes": len(list(probes))}
-        base_router, probes = self.router, list(probes)
+                  "n_probes": len(probes)}
+        base_router = self.router
         self.router = CanaryRouter(base_router, canary, fraction=fraction)
         try:
             divergence = None
@@ -629,10 +580,12 @@ class FleetServer:
     async def worker_stats(self) -> dict:
         """Live per-worker serving statistics (asks each worker)."""
         self._check_open()
+        loop = asyncio.get_running_loop()
         futures = {}
         for target in self._alive():
-            msg_id, future = self._register(target, 0)
-            await self._send(target, StatsFrame(msg_id))
+            future = loop.create_future()
+            target.outbox.put_nowait(StatsFrame(self._register(target,
+                                                               future)))
             futures[target.spec.name] = future
         return {name: await asyncio.wait_for(future, self.stats_timeout_s)
                 for name, future in futures.items()}

@@ -63,9 +63,13 @@ class FleetTelemetry:
     def record_failure(self, worker: str, n: int = 1) -> None:
         self._inc(worker, "failed", n)
 
-    def record_rejection(self, n: int = 1) -> None:
+    def record_rejection(self, client: str, reason: str,
+                         routine: str = None, n: int = 1) -> None:
+        """``n`` requests refused at admission, labelled by client,
+        reason (``overload``) and routine."""
         self.registry.counter("fleet_rejected", component="fleet",
-                              instance=self.instance).inc(n)
+                              instance=self.instance, client=client,
+                              reason=reason, routine=routine).inc(n)
         self._rejected += n
 
     def record_outstanding(self, worker: str, cost: float) -> None:

@@ -2,12 +2,13 @@
 
 Everything crossing a worker pipe is one of the small frame dataclasses
 below, pickled by ``multiprocessing.Connection`` itself.  Requests are
-**slab-framed**: the front chops each routed burst into
-``max_batch``-sized :class:`SlabFrame` messages — the same chunk size
-the worker's own :meth:`~repro.serve.server.GemmServer.submit_many`
-turns into one :class:`~repro.serve.request.SlabRequest` queue entry —
-so a 256-request burst crosses the pipe as ~16 messages with one
-reply future each, not 256, and lands in the worker as ready-made
+**slab-framed**: the front chops each routed burst with
+:func:`chunk_slots` into ``max_batch``-sized :class:`SlabFrame`
+messages — the same chunk size the worker's own
+:meth:`~repro.serve.server.GemmServer.submit_many` turns into one
+:class:`~repro.serve.request.SlabRequest` queue entry — so a
+256-request burst crosses the pipe as ~16 messages with one reply
+future each, not 256, and lands in the worker as ready-made
 micro-batches.
 
 Correlation is by ``msg_id``: the front allocates ids, workers echo
@@ -20,6 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
+
+from repro.serve.front import chunk_slots  # noqa: F401 - frame sizing
 
 # -- front -> worker -----------------------------------------------------
 
@@ -116,25 +119,3 @@ class StoppedFrame:
 
     stats: dict = field(default_factory=dict)
 
-
-def chunk_slots(slots, max_batch: int):
-    """Yield ``max_batch``-sized runs of ``slots`` (slab framing)."""
-    if int(max_batch) < 1:
-        raise ValueError("max_batch must be >= 1")
-    for start in range(0, len(slots), max_batch):
-        yield slots[start:start + max_batch]
-
-
-def chunk_slots_by_cost(slots, costs, max_batch: int, max_cost: float):
-    """Cost-budgeted slab framing: the predicted-FLOPs twin of
-    :func:`chunk_slots`.
-
-    Chunks close when either ``max_batch`` slots or ``max_cost`` summed
-    predicted cost would be exceeded (a single over-budget slot still
-    frames alone), so the slabs a worker receives are already the
-    micro-batches its cost-budgeted scheduler would form.  With
-    ``max_cost=None`` the boundaries are exactly :func:`chunk_slots`'s.
-    """
-    from repro.serve.cost import chunk_by_cost
-
-    yield from chunk_by_cost(slots, costs, max_batch, max_cost)

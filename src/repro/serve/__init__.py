@@ -17,18 +17,25 @@ request stream:
 * :class:`GemmServer` — asyncio front door: admission control with
   backpressure, :class:`ServerOverloaded` rejection and per-client
   fair-share caps; multi-tenant shard routing; telemetry.
+* :class:`~repro.serve.front.Front` — the route → admit → slab →
+  gather path :class:`GemmServer` and the fleet's
+  :class:`~repro.fleet.server.FleetServer` share; ``submit`` is its
+  one-slot case.
 * :class:`~repro.serve.scheduler.MicroBatcher` /
   :class:`~repro.serve.scheduler.BatchPolicy` — dynamic micro-batching:
   a batch closes when it reaches ``max_batch`` or ``max_wait_ms`` after
   its first request.
-* routers — :class:`~repro.serve.router.HashRouter` /
-  :class:`~repro.serve.router.ConsistentHashRouter` (replicas, the
-  latter stable under membership changes),
-  :class:`~repro.serve.router.LeastLoadedRouter` (live in-flight
-  counts), :class:`~repro.serve.router.CanaryRouter` (deterministic
+* routers, each one ``route_batch`` over the
+  :class:`~repro.serve.router.ShardRouter` base —
+  :class:`~repro.serve.router.SingleShardRouter` (one shard),
+  :class:`~repro.serve.router.ConsistentHashRouter` (replicas, stable
+  under membership changes; the multi-shard default),
+  :class:`~repro.serve.router.LeastLoadedRouter` /
+  :class:`~repro.serve.router.CostAwareLeastLoadedRouter` (live
+  in-flight slots / outstanding predicted FLOPs),
+  :class:`~repro.serve.router.CanaryRouter` (deterministic
   traffic-fraction split for rollouts),
-  :class:`~repro.serve.router.RoutineRouter` /
-  :class:`~repro.serve.router.SpecTypeRouter` (per routine family),
+  :class:`~repro.serve.router.RoutineRouter` (per routine family),
   :class:`~repro.serve.router.TenantRouter` (per client).
 * :mod:`~repro.serve.trace` — Poisson load generation and the replay
   harness shared by the CLI, the serve benchmark and the examples.
@@ -38,14 +45,13 @@ Thread choices are bitwise identical to synchronous
 engine's batch prediction is exact.
 """
 
-from repro.serve.cost import CostModel, chunk_by_cost
-from repro.serve.request import (ReloadCommand, ServeRequest, ServerClosed,
-                                 ServerOverloaded)
+from repro.serve.cost import CostModel
+from repro.serve.front import chunk_slots
+from repro.serve.request import ReloadCommand, ServerClosed, ServerOverloaded
 from repro.serve.router import (CanaryRouter, ConsistentHashRouter,
-                                CostAwareLeastLoadedRouter, HashRouter,
-                                LeastLoadedRouter, RoundRobinRouter,
-                                RoutineRouter, ShardRouter,
-                                SingleShardRouter, SpecTypeRouter,
+                                CostAwareLeastLoadedRouter,
+                                LeastLoadedRouter, RoutineRouter,
+                                ShardRouter, SingleShardRouter,
                                 TenantRouter, default_router)
 from repro.serve.scheduler import BatchPolicy, MicroBatcher
 from repro.serve.server import GemmServer
@@ -60,23 +66,19 @@ __all__ = [
     "CostAwareLeastLoadedRouter",
     "CostModel",
     "GemmServer",
-    "HashRouter",
     "LeastLoadedRouter",
     "MicroBatcher",
     "ReloadCommand",
     "ReplayOutcome",
-    "RoundRobinRouter",
     "RoutineRouter",
-    "ServeRequest",
     "ServeTelemetry",
     "ServerClosed",
     "ServerOverloaded",
     "ShardRouter",
     "SingleShardRouter",
-    "SpecTypeRouter",
     "TenantRouter",
     "TimedRequest",
-    "chunk_by_cost",
+    "chunk_slots",
     "default_router",
     "poisson_trace",
     "replay_trace",

@@ -13,9 +13,10 @@ into a single pricing surface:
   instead of waiting for ``max_batch`` slots, so one heavy GEMM no
   longer defines the latency of the thirty cheap GEMVs sharing its
   window;
-* slab framing — :func:`chunk_by_cost` chops a routed burst on the same
-  budget, so slabs crossing a fleet pipe are cost-balanced, not merely
-  count-balanced;
+* slab framing — the server front
+  (:func:`~repro.serve.front.chunk_slots`) chops a routed burst on the
+  same budget, so slabs crossing a fleet pipe are cost-balanced, not
+  merely count-balanced;
 * routing — :class:`~repro.serve.router.CostAwareLeastLoadedRouter`
   weights a worker's in-flight load by outstanding predicted FLOPs, so
   "two huge requests" finally looks heavier than "three tiny ones".
@@ -106,33 +107,3 @@ class CostModel:
         """Summed predicted cost of a batch."""
         return sum(self.cost_of(specs))
 
-
-def chunk_by_cost(slots, costs, max_batch: int, max_cost: float = None):
-    """Yield runs of ``slots`` bounded by count *and* predicted cost.
-
-    The budgeted twin of :func:`repro.fleet.transport.chunk_slots`:
-    every yielded chunk holds at most ``max_batch`` slots and (when
-    ``max_cost`` is set) at most ``max_cost`` summed cost — except that
-    a single slot over budget still gets a chunk of its own, because a
-    request can only shrink a batch, never be refused by one.  With
-    ``max_cost=None`` the boundaries are exactly the count-only ones.
-
-    ``costs`` is slot-aligned with ``slots`` (``costs[i]`` prices
-    ``slots[i]``'s spec).
-    """
-    if int(max_batch) < 1:
-        raise ValueError("max_batch must be >= 1")
-    if max_cost is not None and float(max_cost) <= 0:
-        raise ValueError("max_cost must be > 0 (or None for count-only)")
-    chunk: list = []
-    chunk_cost = 0.0
-    for slot, cost in zip(slots, costs):
-        if chunk and (len(chunk) >= max_batch
-                      or (max_cost is not None
-                          and chunk_cost + cost > max_cost)):
-            yield chunk
-            chunk, chunk_cost = [], 0.0
-        chunk.append(slot)
-        chunk_cost += cost
-    if chunk:
-        yield chunk

@@ -1,9 +1,9 @@
-"""Request envelope and admission errors for the serving layer.
+"""Queue entries and admission errors for the serving layer.
 
-A :class:`ServeRequest` is what travels from :meth:`GemmServer.submit`
-through a shard queue to the micro-batcher: the spec itself plus the
-client identity (for fair-share accounting), the admission timestamp
-(for latency telemetry) and the future the caller is awaiting.
+A :class:`SlabRequest` is what travels from the server front through a
+shard queue to the micro-batcher: the specs themselves plus the client
+identity (for fair-share accounting), the admission timestamp (for
+latency telemetry) and the one future the caller is awaiting.
 """
 
 from __future__ import annotations
@@ -37,42 +37,24 @@ class ServerClosed(RuntimeError):
 
 
 @dataclass
-class ServeRequest:
-    """One admitted in-flight request.
+class SlabRequest:
+    """One admitted run of requests sharing a single future.
+
+    The server front chops each routed burst into slabs of at most
+    ``max_batch`` slots (:meth:`GemmServer.submit` sends a one-slot
+    slab): ``specs`` are the slots, ``future`` resolves exactly once
+    with the slot-aligned list of
+    :class:`~repro.engine.service.GemmCallRecord` results (or the
+    batch's exception), and the front scatters them back to the
+    caller's original order.  One future and one queue put per
+    micro-batch instead of one per request.
 
     ``t_submit`` is event-loop time at admission; the scheduler stamps
     queue-wait and total latency against it when the batch resolves.
-    ``trace`` is the request's
-    :class:`~repro.obs.tracing.RequestTrace` scratchpad when the server
-    runs with tracing enabled — ``None`` otherwise, so the disabled
-    path never allocates trace state.
-    """
-
-    spec: object
-    client: str
-    future: asyncio.Future
-    t_submit: float
-    shard: str = field(default="default")
-    trace: object = field(default=None)
-
-
-@dataclass
-class SlabRequest:
-    """One admitted burst of requests sharing a single future.
-
-    The bulk-submit path (:meth:`GemmServer.submit_many`) admits a
-    whole routed burst per shard as one queue entry: ``specs`` are the
-    slots, ``future`` resolves exactly once with the slot-aligned list
-    of :class:`~repro.engine.service.TimingRecord` results (or the
-    batch's exception), and the submitter scatters them back to the
-    caller's original order.  One future and one queue put per
-    micro-batch instead of one per request — the event-loop bookkeeping
-    that dominated large-burst submission drops out of the hot path.
-
     ``traces`` is the slot-aligned list of per-request
     :class:`~repro.obs.tracing.RequestTrace` scratchpads when tracing
-    is on, ``None`` otherwise (the disabled path allocates no trace
-    state, same contract as :class:`ServeRequest`).
+    is on, ``None`` otherwise, so the disabled path allocates no trace
+    state.
     """
 
     specs: list

@@ -1,49 +1,53 @@
-"""Pluggable shard routing: which ``GemmService`` serves a request.
+"""Pluggable shard routing: which shard serves a request.
 
-A multi-tenant :class:`~repro.serve.server.GemmServer` fronts several
-shards — one per machine profile (e.g. ``gadi`` and ``setonix``
-simulators), per routine family, or per replica — and a router maps
-each ``(spec, client)`` pair to a shard name.  :class:`HashRouter`,
-:class:`SpecTypeRouter`, :class:`RoutineRouter` and
-:class:`TenantRouter` are stateless deterministic functions of their
-inputs, so replaying a trace through them reproduces the exact same
-shard assignment (and therefore the same per-shard cache and batch
-behaviour).  :class:`RoundRobinRouter` is the exception: it spreads by
-*admission order*, which under concurrent clients depends on task
-interleaving — use it for stateless replica load-spreading, not when
-replay reproducibility matters.
+A server front (:class:`~repro.serve.server.GemmServer` over local
+shards, :class:`~repro.fleet.server.FleetServer` over worker
+processes) fronts several shards — one per machine profile, per
+routine family, per tenant or per replica — and a router maps each
+burst of ``(spec, client)`` requests to shard names.
 
-For mixed-routine traffic, :class:`RoutineRouter` is the deployment
-default: one shard per routine name, each holding that routine's
-trained predictor, so a single server answers GEMM, GEMV, TRSM and
-SYRK requests with the right model.
+Every router implements one method, ``route_batch(specs, client)``;
+:class:`ShardRouter` derives the scalar ``route`` from it, so the two
+forms cannot drift.  The routers:
+
+* :class:`SingleShardRouter` — everything to one shard;
+* :class:`ConsistentHashRouter` — shape-hash spreading over replicas
+  (the multi-shard default), stable under membership changes;
+* :class:`LeastLoadedRouter` / :class:`CostAwareLeastLoadedRouter` —
+  live in-flight slots or outstanding predicted FLOPs;
+* :class:`CanaryRouter` — a deterministic traffic fraction to one
+  shard during a rollout;
+* :class:`RoutineRouter` — per routine family (one shard per routine
+  name: the mixed-routine deployment default);
+* :class:`TenantRouter` — per client.
+
+All but the load-based ones are deterministic functions of their
+inputs, so replaying a trace reproduces the same shard assignment (and
+therefore the same per-shard cache and batch behaviour).
 """
 
 from __future__ import annotations
 
 import bisect
 import hashlib
-from typing import Protocol, runtime_checkable
 
 from repro.core.routines import routine_of
 from repro.engine.cache import routine_key
 from repro.serve.cost import CostModel
 
 
-@runtime_checkable
-class ShardRouter(Protocol):
-    """Structural protocol: map a request to a shard name.
+class ShardRouter:
+    """Base router: map a burst of requests to shard names.
 
-    Routers may additionally expose a vectorised
-    ``route_batch(specs, client)`` returning one shard name per spec;
-    the server uses it to assign a whole burst in one call instead of
-    N protocol dispatches.  Every built-in router implements it (a
-    plain ``route`` loop stays the semantic reference: ``route_batch``
-    must equal ``[route(s, client) for s in specs]`` element-wise).
+    Subclasses implement :meth:`route_batch` only, returning one shard
+    name per spec; :meth:`route` is its one-spec case.
     """
 
+    def route_batch(self, specs, client: str = "default") -> list:
+        raise NotImplementedError
+
     def route(self, spec, client: str = "default") -> str:
-        ...  # pragma: no cover - protocol stub
+        return self.route_batch([spec], client)[0]
 
 
 def _require_shards(shards) -> list:
@@ -53,61 +57,29 @@ def _require_shards(shards) -> list:
     return names
 
 
-class SingleShardRouter:
+class SingleShardRouter(ShardRouter):
     """Everything goes to the one shard (the single-tenant default)."""
 
     def __init__(self, shard: str = "default"):
         self.shard = str(shard)
 
-    def route(self, spec, client: str = "default") -> str:
-        return self.shard
-
     def route_batch(self, specs, client: str = "default") -> list:
         return [self.shard] * len(specs)
 
 
-class HashRouter:
-    """Deterministic shape-hash spreading across identical replicas.
-
-    The same shape always lands on the same shard (its prediction stays
-    cached there), and the assignment is stable across processes because
-    it hashes the canonical shape key with blake2b rather than Python's
-    salted ``hash``.
-    """
-
-    def __init__(self, shards):
-        self.shards = _require_shards(shards)
-
-    def route(self, spec, client: str = "default") -> str:
-        digest = hashlib.blake2b(repr(routine_key(spec)).encode(),
-                                 digest_size=8).digest()
-        return self.shards[int.from_bytes(digest, "little") % len(self.shards)]
-
-    def route_batch(self, specs, client: str = "default") -> list:
-        # One digest per *distinct* key: repeated shapes in a burst
-        # (the common case the cache exists for) hash once.
-        memo: dict = {}
-        out = []
-        for spec in specs:
-            key = routine_key(spec)
-            shard = memo.get(key)
-            if shard is None:
-                shard = memo[key] = self.route(spec, client)
-            out.append(shard)
-        return out
-
-
-class ConsistentHashRouter:
+class ConsistentHashRouter(ShardRouter):
     """Hash-ring spreading that survives shard membership changes.
 
-    :class:`HashRouter` maps keys with ``hash % n``, so losing one
-    shard remaps nearly every key — a dead fleet worker would flush
-    every surviving worker's prediction cache.  The ring keeps each
-    shard at ``replicas`` virtual points; a key routes to the first
-    point clockwise of its own hash, so removing a shard remaps *only*
-    the keys that lived on it and adding one steals an even slice from
-    everyone.  Assignments hash the canonical shape key with blake2b,
-    so they are stable across processes and runs.
+    The same shape always lands on the same shard, so its prediction
+    stays cached there.  Plain ``hash % n`` spreading would remap
+    nearly every key when one shard leaves — a dead fleet worker would
+    flush every surviving worker's prediction cache.  The ring keeps
+    each shard at ``replicas`` virtual points; a key routes to the
+    first point clockwise of its own hash, so removing a shard remaps
+    *only* the keys that lived on it and adding one steals an even
+    slice from everyone.  Assignments hash the canonical,
+    routine-qualified shape key with blake2b (not Python's salted
+    ``hash``), so they are stable across processes and runs.
     """
 
     def __init__(self, shards, replicas: int = 64):
@@ -145,11 +117,6 @@ class ConsistentHashRouter:
         self._points = [self._points[i] for i in keep]
         self._owners = [self._owners[i] for i in keep]
 
-    def route(self, spec, client: str = "default") -> str:
-        point = self._hash(repr(routine_key(spec)))
-        at = bisect.bisect_right(self._points, point) % len(self._points)
-        return self._owners[at]
-
     def route_batch(self, specs, client: str = "default") -> list:
         memo: dict = {}  # one ring lookup per distinct key
         out = []
@@ -157,12 +124,14 @@ class ConsistentHashRouter:
             key = routine_key(spec)
             shard = memo.get(key)
             if shard is None:
-                shard = memo[key] = self.route(spec, client)
+                at = bisect.bisect_right(self._points,
+                                         self._hash(repr(key)))
+                shard = memo[key] = self._owners[at % len(self._points)]
             out.append(shard)
         return out
 
 
-class LeastLoadedRouter:
+class LeastLoadedRouter(ShardRouter):
     """Route each request to the shard holding the fewest in-flight slots.
 
     ``loads`` supplies the live occupancy — either a dict the owner
@@ -173,9 +142,9 @@ class LeastLoadedRouter:
     spreads a burst: each routed slot will occupy its shard the moment
     the burst is admitted, so simulating that admission is what makes
     the batch land exactly where sequential route-then-admit calls
-    would have put it.  Like :class:`RoundRobinRouter`, assignments
-    depend on live state, not only on the spec — use it for replica
-    load-spreading, not when replay reproducibility matters.
+    would have put it.  Assignments depend on live state, not only on
+    the spec — use it for replica load-spreading, not when replay
+    reproducibility matters.
     """
 
     def __init__(self, shards, loads=None):
@@ -194,10 +163,6 @@ class LeastLoadedRouter:
             if len(self.shards) == 1:
                 raise ValueError("cannot remove the last shard")
             self.shards.remove(shard)
-
-    def route(self, spec, client: str = "default") -> str:
-        loads = self.current_loads()
-        return min(self.shards, key=lambda s: loads.get(s, 0))
 
     def route_batch(self, specs, client: str = "default") -> list:
         loads = self.current_loads()
@@ -239,7 +204,7 @@ class CostAwareLeastLoadedRouter(LeastLoadedRouter):
         return out
 
 
-class CanaryRouter:
+class CanaryRouter(ShardRouter):
     """Divert a deterministic key fraction of traffic to one shard.
 
     Wraps a base router during a canary rollout: every spec whose
@@ -249,6 +214,10 @@ class CanaryRouter:
     not Python's salted ``hash``), so the same request always lands on
     the same side — canary-vs-fleet comparisons see disjoint, stable
     traffic sets rather than a random sample.
+
+    Membership changes (``add``/``remove``, when a worker dies or
+    rejoins mid-rollout) go to the base router, which keeps routing
+    after the rollout ends.
     """
 
     def __init__(self, base, canary: str, fraction: float = 0.25):
@@ -265,109 +234,44 @@ class CanaryRouter:
         bucket = int.from_bytes(digest, "little") / float(2 ** 64)
         return bucket < self.fraction
 
-    def route(self, spec, client: str = "default") -> str:
-        if self._is_canary(spec):
-            return self.canary
-        return self.base.route(spec, client)
+    def add(self, shard: str) -> None:
+        add = getattr(self.base, "add", None)
+        if add is not None:
+            add(shard)
+
+    def remove(self, shard: str) -> None:
+        remove = getattr(self.base, "remove", None)
+        if remove is not None:
+            remove(shard)
 
     def route_batch(self, specs, client: str = "default") -> list:
         # The base router must see only the slots it will actually own:
-        # a stateful base (least-loaded, round-robin) would otherwise
-        # account for slots the canary took.
-        flags = [self._is_canary(spec) for spec in specs]
-        rest = [i for i, taken in enumerate(flags) if not taken]
+        # a stateful base (least-loaded) would otherwise account for
+        # slots the canary took.
+        rest = [i for i, spec in enumerate(specs)
+                if not self._is_canary(spec)]
         out: list = [self.canary] * len(specs)
         if rest:
-            base_route = getattr(self.base, "route_batch", None)
-            if base_route is not None:
-                names = base_route([specs[i] for i in rest], client)
-            else:
-                names = [self.base.route(specs[i], client) for i in rest]
+            names = self.base.route_batch([specs[i] for i in rest], client)
             for i, name in zip(rest, names):
                 out[i] = name
         return out
 
 
-class RoundRobinRouter:
-    """Cycle through shards in admission order (replica load-spreading)."""
-
-    def __init__(self, shards):
-        self.shards = _require_shards(shards)
-        self._next = 0
-
-    def route(self, spec, client: str = "default") -> str:
-        shard = self.shards[self._next]
-        self._next = (self._next + 1) % len(self.shards)
-        return shard
-
-    def route_batch(self, specs, client: str = "default") -> list:
-        n = len(self.shards)
-        out = [self.shards[(self._next + i) % n] for i in range(len(specs))]
-        self._next = (self._next + len(specs)) % n
-        return out
-
-
-class SpecTypeRouter:
-    """Route by spec type (one shard per routine family).
-
-    Lookup walks the spec's MRO, mirroring
-    :class:`~repro.engine.backend.BackendDispatcher`, so registering a
-    base class covers its subclasses.
-    """
-
-    def __init__(self, routes: dict, default: str = None):
-        for klass in routes:
-            if not isinstance(klass, type):
-                raise TypeError("routes keys must be classes")
-        self.routes = dict(routes)
-        self.default = default
-
-    def route(self, spec, client: str = "default") -> str:
-        for klass in type(spec).__mro__:
-            if klass in self.routes:
-                return self.routes[klass]
-        if self.default is not None:
-            return self.default
-        raise TypeError(
-            f"no shard registered for spec type {type(spec).__name__}")
-
-    def route_batch(self, specs, client: str = "default") -> list:
-        memo: dict = {}  # one MRO walk per distinct spec type
-        out = []
-        for spec in specs:
-            klass = type(spec)
-            shard = memo.get(klass)
-            if shard is None:
-                shard = memo[klass] = self.route(spec, client)
-            out.append(shard)
-        return out
-
-
-class RoutineRouter:
+class RoutineRouter(ShardRouter):
     """Route by the spec's *routine name* (one shard per routine family).
 
-    The name-keyed twin of :class:`SpecTypeRouter`: shards are looked
-    up by the spec's ``routine`` attribute (bare dims triples count as
-    "gemm"), so registry-driven deployments can wire mixed-routine
-    traffic without importing any spec class.  With ``routes`` omitted,
-    each routine maps to the shard of its own name — the natural layout
-    when shards are built from a model registry's ``(routine, machine)``
-    cells.
+    Shards are looked up by the spec's ``routine`` attribute (bare dims
+    triples count as "gemm"), so registry-driven deployments can wire
+    mixed-routine traffic without importing any spec class.  With
+    ``routes`` omitted, each routine maps to the shard of its own name —
+    the natural layout when shards are built from a model registry's
+    ``(routine, machine)`` cells.
     """
 
     def __init__(self, routes: dict = None, default: str = None):
         self.routes = dict(routes) if routes is not None else None
         self.default = default
-
-    def route(self, spec, client: str = "default") -> str:
-        routine = routine_of(spec)
-        if self.routes is None:
-            return routine
-        shard = self.routes.get(routine, self.default)
-        if shard is None:
-            raise KeyError(f"no shard registered for routine {routine!r} "
-                           f"(have {sorted(self.routes)})")
-        return shard
 
     def route_batch(self, specs, client: str = "default") -> list:
         memo: dict = {}  # one table lookup per distinct routine name
@@ -389,18 +293,12 @@ class RoutineRouter:
         return out
 
 
-class TenantRouter:
+class TenantRouter(ShardRouter):
     """Route by client identity (one shard per tenant or tenant group)."""
 
     def __init__(self, routes: dict, default: str = None):
         self.routes = dict(routes)
         self.default = default
-
-    def route(self, spec, client: str = "default") -> str:
-        shard = self.routes.get(client, self.default)
-        if shard is None:
-            raise KeyError(f"no shard registered for client {client!r}")
-        return shard
 
     def route_batch(self, specs, client: str = "default") -> list:
         shard = self.routes.get(client, self.default)
@@ -410,8 +308,9 @@ class TenantRouter:
 
 
 def default_router(shard_names) -> ShardRouter:
-    """The server's routing default: single shard direct, else hashed."""
+    """The server's routing default: single shard direct, else a hash
+    ring."""
     names = _require_shards(shard_names)
     if len(names) == 1:
         return SingleShardRouter(names[0])
-    return HashRouter(names)
+    return ConsistentHashRouter(names)

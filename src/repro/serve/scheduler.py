@@ -1,15 +1,17 @@
 """The micro-batching scheduler: window-or-size batch formation.
 
-One :class:`MicroBatcher` task runs per shard.  It pulls the first
-request off the shard queue, then keeps collecting until either
-``max_batch`` requests are in hand or ``max_wait_ms`` has elapsed since
-the first one arrived — the dynamic-batching idiom of production
-inference servers.  The collected batch is fulfilled with **one**
+One :class:`MicroBatcher` task runs per shard.  Its queue carries
+:class:`~repro.serve.request.SlabRequest` entries (a ``submit`` is a
+one-slot slab).  It pulls the first slab off the shard queue, then
+keeps collecting until either ``max_batch`` request slots are in hand or
+``max_wait_ms`` has elapsed since the first one arrived — the
+dynamic-batching idiom of production inference servers.  The collected
+batch is fulfilled with **one**
 :meth:`~repro.engine.service.GemmService.run_batch` call, whose thread
 choices are bitwise identical to per-request
 :meth:`~repro.engine.service.GemmService.run` (the engine guarantees
-batch == scalar prediction), and each caller's future is resolved with
-its own :class:`~repro.engine.service.GemmCallRecord`.
+batch == scalar prediction), and each slab's future is resolved with
+its slot-aligned :class:`~repro.engine.service.GemmCallRecord` list.
 
 Shutdown is a sentinel enqueued *behind* every already-admitted request
 (the queue is FIFO and admission stops first), so closing the server
@@ -24,15 +26,10 @@ from dataclasses import dataclass
 from repro.core.routines import routine_of
 from repro.engine.cache import shape_key as _shape_key
 from repro.serve.cost import CostModel
-from repro.serve.request import ReloadCommand, SlabRequest
+from repro.serve.request import ReloadCommand
 
 #: Queue sentinel marking the end of the request stream for a shard.
 SHUTDOWN = object()
-
-
-def _entry_size(entry) -> int:
-    """Request slots a queue entry occupies (slabs carry many)."""
-    return getattr(entry, "count", 1)
 
 
 @dataclass(frozen=True)
@@ -82,8 +79,9 @@ class MicroBatcher:
     telemetry:
         Shared :class:`~repro.serve.telemetry.ServeTelemetry`.
     release:
-        Callback invoked once per request after its future resolves
-        (the server decrements pending/fair-share accounting here).
+        ``release(client, n)``, invoked once per slab after its future
+        resolves, whatever the outcome (the server returns the slab's
+        admission slots here).
     shard:
         Shard name, for telemetry attribution.
     collector:
@@ -114,12 +112,6 @@ class MicroBatcher:
         self.collector = collector
         self.after_batch = after_batch
         self.cost_model = cost_model if cost_model is not None else CostModel()
-
-    def _entry_cost(self, entry) -> float:
-        """Predicted cost of a queue entry (a slab prices all its slots)."""
-        if isinstance(entry, SlabRequest):
-            return self.cost_model.total_cost(entry.specs)
-        return self.cost_model.cost_of_one(entry.spec)
 
     async def run(self, queue: asyncio.Queue) -> None:
         """Consume ``queue`` until the shutdown sentinel arrives.
@@ -155,8 +147,8 @@ class MicroBatcher:
     async def _collect(self, queue, batch, loop):
         """Fill ``batch`` until size/cost/window/control closes it.
 
-        Size counts request *slots*, not queue entries — a
-        :class:`SlabRequest` occupies ``count`` of them.  Returns
+        Size counts request *slots*, not queue entries — a slab
+        occupies ``count`` of them.  Returns
         ``(closing, pending_reload, carry)``: ``closing`` is True on
         shutdown; a :class:`ReloadCommand` stops collection so the
         in-flight batch stays on the bundle it was admitted under; an
@@ -169,9 +161,9 @@ class MicroBatcher:
         records its reason (``size``/``cost``/``window``/``control``)
         into telemetry.
         """
-        size = sum(_entry_size(r) for r in batch)
+        size = len(batch[0].specs)
         budget = self.policy.max_batch_cost
-        cost = (sum(self._entry_cost(r) for r in batch)
+        cost = (self.cost_model.total_cost(batch[0].specs)
                 if budget is not None else 0.0)
         deadline = loop.time() + self.policy.max_wait_ms / 1e3
         while size < self.policy.max_batch:
@@ -190,17 +182,18 @@ class MicroBatcher:
             if isinstance(item, ReloadCommand):
                 self.telemetry.record_close(self.shard, "control")
                 return False, item, None
-            if size + _entry_size(item) > self.policy.max_batch:
+            count = len(item.specs)
+            if size + count > self.policy.max_batch:
                 self.telemetry.record_close(self.shard, "size")
                 return False, None, item
             if budget is not None:
-                item_cost = self._entry_cost(item)
+                item_cost = self.cost_model.total_cost(item.specs)
                 if cost + item_cost > budget:
                     self.telemetry.record_close(self.shard, "cost")
                     return False, None, item
                 cost += item_cost
             batch.append(item)
-            size += _entry_size(item)
+            size += count
         self.telemetry.record_close(self.shard, "size")
         return False, None, None
 
@@ -288,7 +281,7 @@ class MicroBatcher:
         self.collector.finish(trace)
 
     async def _execute(self, batch, loop, t_form: float = None) -> None:
-        """One vectorised service pass; resolve every caller's future.
+        """One vectorised service pass; resolve every slab's future.
 
         The pass runs in the loop's default executor so a long batch
         (a real ``ParallelExecutionBackend`` GEMM, say) never blocks
@@ -296,19 +289,12 @@ class MicroBatcher:
         batcher stays suspended here, so per-shard execution remains
         strictly sequential and choices stay deterministic.
 
-        A :class:`SlabRequest` entry contributes all its slots to the
-        flattened spec list and gets its *single* future resolved with
-        the slot-aligned slice of records; telemetry and tracing stay
-        per-request, so slab and streaming submissions are
-        indistinguishable downstream.
+        Every slab contributes all its slots to the flattened spec list
+        and gets its *single* future resolved with the slot-aligned
+        slice of records; telemetry and tracing stay per request.
         """
         t_start = loop.time()
-        specs = []
-        for entry in batch:
-            if isinstance(entry, SlabRequest):
-                specs.extend(entry.specs)
-            else:
-                specs.append(entry.spec)
+        specs = [spec for entry in batch for spec in entry.specs]
         # Per-batch predicted cost is recorded only under a budget, so
         # count-only serving pays no pricing work on the hot path.
         batch_cost = (self.cost_model.total_cost(specs)
@@ -316,27 +302,20 @@ class MicroBatcher:
         self.telemetry.record_batch(self.shard, len(specs), cost=batch_cost)
         tables_before = self._table_snapshot()
         try:
-            records = await loop.run_in_executor(
-                None, self.service.run_batch, specs)
+            records = list(await loop.run_in_executor(
+                None, self.service.run_batch, specs))
         except Exception as exc:
             for entry in batch:
-                if isinstance(entry, SlabRequest):
-                    for spec in entry.specs:
-                        self.telemetry.record_failure(
-                            entry.client, routine=routine_of(spec))
-                    if self.collector is not None and entry.traces is not None:
-                        for trace in entry.traces:
-                            trace.status = "error"
-                            self.collector.finish(trace)
-                else:
+                for spec in entry.specs:
                     self.telemetry.record_failure(
-                        entry.client, routine=routine_of(entry.spec))
-                    if self.collector is not None and entry.trace is not None:
-                        entry.trace.status = "error"
-                        self.collector.finish(entry.trace)
+                        entry.client, routine=routine_of(spec))
+                if self.collector is not None and entry.traces is not None:
+                    for trace in entry.traces:
+                        trace.status = "error"
+                        self.collector.finish(trace)
                 if not entry.future.done():
                     entry.future.set_exception(exc)
-                self.release(entry)
+                self.release(entry.client, entry.count)
             if self.after_batch is not None:
                 self.after_batch()
             return
@@ -353,33 +332,20 @@ class MicroBatcher:
         n_total = len(specs)
         offset = 0
         for entry in batch:
-            n = _entry_size(entry)
-            if isinstance(entry, SlabRequest):
-                slab_records = list(records[offset:offset + n])
-                for spec in entry.specs:
-                    self.telemetry.record_done(
-                        entry.client, latency=t_done - entry.t_submit,
-                        wait=t_start - entry.t_submit,
-                        routine=routine_of(spec))
-                if not entry.future.done():
-                    entry.future.set_result(slab_records)
-                if self.collector is not None and entry.traces is not None:
-                    for j, (trace, record) in enumerate(
-                            zip(entry.traces, slab_records)):
-                        self._stamp_trace(trace, record, tiers[offset + j],
-                                          n_total, t_form, t_start, t_done)
-            else:
-                record = records[offset]
+            n = len(entry.specs)
+            slab_records = records[offset:offset + n]
+            for spec in entry.specs:
                 self.telemetry.record_done(
                     entry.client, latency=t_done - entry.t_submit,
-                    wait=t_start - entry.t_submit,
-                    routine=routine_of(entry.spec))
-                if not entry.future.done():
-                    entry.future.set_result(record)
-                if self.collector is not None and entry.trace is not None:
-                    self._stamp_trace(entry.trace, record, tiers[offset],
+                    wait=t_start - entry.t_submit, routine=routine_of(spec))
+            if not entry.future.done():
+                entry.future.set_result(slab_records)
+            if self.collector is not None and entry.traces is not None:
+                for j, (trace, record) in enumerate(
+                        zip(entry.traces, slab_records)):
+                    self._stamp_trace(trace, record, tiers[offset + j],
                                       n_total, t_form, t_start, t_done)
-            self.release(entry)
+            self.release(entry.client, n)
             offset += n
         if self.after_batch is not None:
             self.after_batch()

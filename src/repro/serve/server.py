@@ -5,7 +5,10 @@ Many concurrent clients ``await server.submit(spec)``; the server admits
 :class:`~repro.engine.service.GemmService` per machine profile, routine
 family or replica — and a per-shard
 :class:`~repro.serve.scheduler.MicroBatcher` forms dynamic batches that
-are fulfilled with one vectorised engine pass each.
+are fulfilled with one vectorised engine pass each.  Routing, admission,
+slab chopping and gathering are the shared
+:class:`~repro.serve.front.Front` path; this module supplies the shard
+side: a bounded queue per shard, its batcher, tracing and monitors.
 
 Admission control is two-tiered:
 
@@ -27,19 +30,18 @@ import asyncio
 from collections import Counter
 from typing import Optional
 
-from repro.core.routines import routine_of
 from repro.obs.metrics import MetricsRegistry, default_registry
-from repro.serve.cost import CostModel, chunk_by_cost
 from repro.obs.monitors import MonitorSet
 from repro.obs.tracing import RequestTrace, SpanCollector, new_trace_id
-from repro.serve.request import (ReloadCommand, ServeRequest, ServerClosed,
-                                 ServerOverloaded, SlabRequest)
+from repro.serve.cost import CostModel
+from repro.serve.front import Front
+from repro.serve.request import ReloadCommand, SlabRequest
 from repro.serve.router import ShardRouter, default_router
 from repro.serve.scheduler import SHUTDOWN, BatchPolicy, MicroBatcher
 from repro.serve.telemetry import ServeTelemetry
 
 
-class GemmServer:
+class GemmServer(Front):
     """Async request server over one or more ``GemmService`` shards.
 
     Parameters
@@ -50,7 +52,8 @@ class GemmServer:
         does not own the services; closing it leaves them open.
     router:
         A :class:`~repro.serve.router.ShardRouter`; defaults to direct
-        routing for one shard and deterministic shape hashing for many.
+        routing for one shard and a
+        :class:`~repro.serve.router.ConsistentHashRouter` for many.
     max_batch / max_wait_ms:
         The :class:`~repro.serve.scheduler.BatchPolicy` thresholds.
     max_batch_cost:
@@ -109,25 +112,21 @@ class GemmServer:
         if not shards:
             raise ValueError("server needs at least one shard")
         self.shards = dict(shards)
-        self.router = router if router is not None \
-            else default_router(self.shards)
-        self.cost_model = cost_model if cost_model is not None \
-            else CostModel()
         self.policy = BatchPolicy(max_batch=max_batch, max_wait_ms=max_wait_ms,
                                   max_batch_cost=max_batch_cost)
         if max_queue < 1:
             raise ValueError("max_queue must be >= 1")
         self.max_queue = int(max_queue)
-        self.max_pending = (int(max_pending) if max_pending is not None
-                            else 2 * self.max_queue * len(self.shards))
-        if self.max_pending < 1:
-            raise ValueError("max_pending must be >= 1")
-        if fair_share is not None and not 0.0 < fair_share <= 1.0:
-            raise ValueError("fair_share must be in (0, 1] or None")
-        self.fair_share = fair_share
         self.registry = registry if registry is not None \
             else default_registry()
-        self.telemetry = ServeTelemetry(registry=self.registry)
+        super().__init__(
+            router if router is not None else default_router(self.shards),
+            cost_model if cost_model is not None else CostModel(),
+            max_pending=(int(max_pending) if max_pending is not None
+                         else 2 * self.max_queue * len(self.shards)),
+            fair_share=fair_share,
+            telemetry=ServeTelemetry(registry=self.registry),
+            price_bursts=max_batch_cost is not None)
         self.collector = SpanCollector(trace_capacity) if tracing else None
         if monitors is None or isinstance(monitors, MonitorSet):
             self.monitors = monitors
@@ -135,10 +134,6 @@ class GemmServer:
             self.monitors = MonitorSet(monitors, registry=self.registry)
         self._queues: dict = {}
         self._tasks: list = []
-        self._pending = 0
-        self._client_pending: dict = {}
-        self._started = False
-        self._closing = False
 
     # -- lifecycle -------------------------------------------------------
     async def start(self) -> "GemmServer":
@@ -180,90 +175,47 @@ class GemmServer:
     async def __aexit__(self, exc_type, exc, tb) -> None:
         await self.close()
 
-    # -- admission -------------------------------------------------------
-    @property
-    def pending(self) -> int:
-        """Admitted requests not yet resolved (queued + in batch)."""
-        return self._pending
+    # -- shards ----------------------------------------------------------
+    def _shard(self, name: str):
+        queue = self._queues.get(name)
+        if queue is None:
+            raise KeyError(f"unknown shard {name!r} "
+                           f"(have {sorted(self._queues)})")
+        return queue
 
-    def _fair_share_cap(self) -> int:
-        return max(1, int(self.max_pending * self.fair_share))
+    def _limits(self, queue) -> tuple:
+        return self.policy.max_batch, self.policy.max_batch_cost
 
-    def _admit(self, client: str, routine: str) -> None:
-        if self._pending >= self.max_pending:
-            self.telemetry.record_rejection(client, "overload",
-                                            routine=routine)
-            raise ServerOverloaded(
-                f"{self._pending} requests pending (limit {self.max_pending})",
-                client=client, reason="overload")
-        if (self.fair_share is not None
-                and self._client_pending.get(client, 0) >= self._fair_share_cap()):
-            self.telemetry.record_rejection(client, "fair_share",
-                                            routine=routine)
-            raise ServerOverloaded(
-                f"client {client!r} holds {self._client_pending[client]} of "
-                f"{self.max_pending} admission slots (fair-share cap "
-                f"{self._fair_share_cap()})", client=client,
-                reason="fair_share")
-        self._pending += 1
-        self._client_pending[client] = self._client_pending.get(client, 0) + 1
-
-    def _admit_many(self, client: str, routines: list) -> None:
-        """All-or-nothing admission of a burst of ``len(routines)`` slots.
-
-        A burst that does not fit — the hard limit or the client's
-        fair share — is rejected whole: partially admitting a slab
-        would hand the caller a result list with holes.  Rejection
-        telemetry records every slot, per routine.
-        """
-        n = len(routines)
-
-        def _reject(reason: str, message: str):
-            for routine, cnt in Counter(routines).items():
-                self.telemetry.record_rejection(client, reason,
-                                                routine=routine, n=cnt)
-            raise ServerOverloaded(message, client=client, reason=reason)
-
-        if self._pending + n > self.max_pending:
-            _reject("overload",
-                    f"{self._pending} requests pending + burst of {n} "
-                    f"exceeds limit {self.max_pending}")
-        if (self.fair_share is not None
-                and self._client_pending.get(client, 0) + n
-                > self._fair_share_cap()):
-            _reject("fair_share",
-                    f"client {client!r} holds "
-                    f"{self._client_pending.get(client, 0)} of "
-                    f"{self.max_pending} admission slots; a burst of {n} "
-                    f"exceeds the fair-share cap {self._fair_share_cap()}")
-        self._pending += n
-        self._client_pending[client] = self._client_pending.get(client, 0) + n
-
-    def _release(self, request) -> None:
-        # A SlabRequest releases all its slots at once; plain requests
-        # count one.
-        n = getattr(request, "count", 1)
-        self._pending -= n
-        remaining = self._client_pending[request.client] - n
-        if remaining > 0:
-            self._client_pending[request.client] = remaining
+    def _deliver(self, queue, name, specs, routines, cost, client, future,
+                 trace_id):
+        """Enqueue one slab; a full queue returns the put to await
+        (backpressure)."""
+        depth = queue.qsize()
+        t_submit = future.get_loop().time()
+        traces = None
+        if self.collector is not None:
+            traces = [RequestTrace(
+                trace_id if trace_id is not None else new_trace_id(),
+                client, routine, name, depth, t_submit)
+                for routine in routines]
+        slab = SlabRequest(specs, client, future, t_submit, name, traces)
+        first = routines[0]
+        if routines.count(first) == len(routines):  # one routine, as usual
+            self.telemetry.record_admission(client, depth, first,
+                                            len(routines))
         else:
-            del self._client_pending[request.client]  # no unbounded growth
+            for routine, count in Counter(routines).items():
+                self.telemetry.record_admission(client, queue_depth=depth,
+                                                routine=routine, n=count)
+        try:
+            queue.put_nowait(slab)
+        except asyncio.QueueFull:
+            return queue.put(slab)
+        return None
 
     def _after_batch(self) -> None:
         """Per-executed-batch hook: evaluate the drift monitors."""
         self.monitors.evaluate(self)
-
-    # -- cost ------------------------------------------------------------
-    def cost_of(self, specs) -> list:
-        """Per-spec predicted costs (scaled FLOPs), one float per spec.
-
-        The same pricing batch formation and slab chopping use when a
-        ``max_batch_cost`` budget is set; exposed so operators and
-        routers can ask "what would this burst weigh?" without
-        submitting it.
-        """
-        return self.cost_model.cost_of(list(specs))
 
     # -- serving ---------------------------------------------------------
     async def submit(self, spec, client: str = "default",
@@ -272,134 +224,28 @@ class GemmServer:
         """Admit, route, enqueue and await one request.
 
         Returns the :class:`~repro.engine.service.GemmCallRecord` the
-        shard produced.  ``shard`` overrides the router (explicit
-        tenant targeting); backpressure is an ``await``, overload an
-        exception.  ``trace_id`` names the request's span chain when
-        tracing is enabled (one is generated otherwise) and is ignored
-        on an untraced server.
+        shard produced.  The request travels as a one-slot slab.
+        ``shard`` overrides the router (explicit tenant targeting);
+        backpressure is an ``await``, overload an exception.
+        ``trace_id`` names the request's span chain when tracing is
+        enabled (one is generated otherwise) and is ignored on an
+        untraced server.
         """
-        if not self._started:
-            raise ServerClosed("server not started (use 'async with' or start())")
-        if self._closing:
-            raise ServerClosed("server is shutting down")
-        shard_name = shard if shard is not None \
-            else self.router.route(spec, client)
-        if shard_name not in self._queues:
-            raise KeyError(f"unknown shard {shard_name!r} "
-                           f"(have {sorted(self._queues)})")
-        routine = routine_of(spec)
-        self._admit(client, routine)
-        loop = asyncio.get_running_loop()
-        queue = self._queues[shard_name]
-        depth = queue.qsize()
-        t_submit = loop.time()
-        trace = None
-        if self.collector is not None:
-            trace = RequestTrace(
-                trace_id if trace_id is not None else new_trace_id(),
-                client, routine, shard_name, depth, t_submit)
-        request = ServeRequest(spec=spec, client=client,
-                               future=loop.create_future(),
-                               t_submit=t_submit, shard=shard_name,
-                               trace=trace)
-        self.telemetry.record_admission(client, queue_depth=depth,
-                                        routine=routine)
-        try:
-            await queue.put(request)  # backpressure: await-until-slot
-        except asyncio.CancelledError:
-            self._release(request)
-            raise
-        return await request.future
+        return (await self._serve([spec], client, shard, trace_id))[0]
 
     async def submit_many(self, specs, client: str = "default") -> list:
-        """Submit a burst as slotted slabs; records come back in input order.
+        """Submit a burst as slabs; records come back in input order.
 
         The whole burst is routed in one ``route_batch`` call, admitted
         all-or-nothing, and enqueued as
         :class:`~repro.serve.request.SlabRequest` entries — one queue
         put and **one future per micro-batch** (each shard's slots are
-        chopped into ``max_batch``-sized slabs), not one per request.
-        The batcher resolves each slab future once with the
-        slot-aligned record list and the results scatter back to the
-        caller's original order, so the returned list is exactly what
-        per-request :meth:`submit` calls would have produced — the
-        per-request event-loop bookkeeping (future churn, queue puts,
-        coroutine scheduling) just drops from O(requests) to
-        O(micro-batches).  The streaming path keeps :meth:`submit`.
+        chopped into ``max_batch``-sized slabs, or smaller under a
+        ``max_batch_cost`` budget), not one per request.  The returned
+        list is exactly what per-request :meth:`submit` calls would
+        have produced.
         """
-        if not self._started:
-            raise ServerClosed("server not started (use 'async with' or start())")
-        if self._closing:
-            raise ServerClosed("server is shutting down")
-        specs = list(specs)
-        if not specs:
-            return []
-        route_batch = getattr(self.router, "route_batch", None)
-        if route_batch is not None:
-            shard_names = list(route_batch(specs, client))
-        else:
-            shard_names = [self.router.route(spec, client) for spec in specs]
-        by_shard: dict = {}  # shard name -> input slot indices, in order
-        for slot, name in enumerate(shard_names):
-            if name not in self._queues:
-                raise KeyError(f"unknown shard {name!r} "
-                               f"(have {sorted(self._queues)})")
-            by_shard.setdefault(name, []).append(slot)
-        routines = [routine_of(spec) for spec in specs]
-        self._admit_many(client, routines)
-        loop = asyncio.get_running_loop()
-        max_batch = self.policy.max_batch
-        budget = self.policy.max_batch_cost
-        costs = self.cost_model.cost_of(specs) if budget is not None else None
-        slabs = []  # (slab, its input slots)
-        for name, slots in by_shard.items():
-            queue = self._queues[name]
-            if budget is not None:
-                chunks = chunk_by_cost(slots, [costs[i] for i in slots],
-                                       max_batch, budget)
-            else:
-                chunks = (slots[start:start + max_batch]
-                          for start in range(0, len(slots), max_batch))
-            for chunk in chunks:
-                depth = queue.qsize()
-                t_submit = loop.time()
-                traces = None
-                if self.collector is not None:
-                    traces = [RequestTrace(new_trace_id(), client,
-                                           routines[i], name, depth, t_submit)
-                              for i in chunk]
-                slab = SlabRequest(specs=[specs[i] for i in chunk],
-                                   client=client,
-                                   future=loop.create_future(),
-                                   t_submit=t_submit, shard=name,
-                                   traces=traces)
-                for routine, cnt in Counter(routines[i]
-                                            for i in chunk).items():
-                    self.telemetry.record_admission(client, queue_depth=depth,
-                                                    routine=routine, n=cnt)
-                slabs.append((slab, chunk))
-        enqueued = 0
-        try:
-            for slab, _ in slabs:
-                await self._queues[slab.shard].put(slab)  # backpressure
-                enqueued += 1
-        except asyncio.CancelledError:
-            for slab, _ in slabs[enqueued:]:
-                self._release(slab)  # enqueued slabs release via the batcher
-            raise
-        results = [None] * len(specs)
-        outcomes = await asyncio.gather(*(slab.future for slab, _ in slabs),
-                                        return_exceptions=True)
-        error = None
-        for (slab, slots), outcome in zip(slabs, outcomes):
-            if isinstance(outcome, BaseException):
-                error = error if error is not None else outcome
-                continue
-            for slot, record in zip(slots, outcome):
-                results[slot] = record
-        if error is not None:
-            raise error
-        return results
+        return await self._serve(list(specs), client)
 
     # -- control plane ---------------------------------------------------
     async def reload(self, bundle, shard: Optional[str] = None,
@@ -423,15 +269,10 @@ class GemmServer:
         ``config.routine`` tag), leaving every other routine serving
         untouched.
         """
-        if not self._started:
-            raise ServerClosed("server not started (use 'async with' or start())")
-        if self._closing:
-            raise ServerClosed("server is shutting down")
+        self._check_open()
         targets = list(self._queues) if shard is None else [shard]
         for name in targets:
-            if name not in self._queues:
-                raise KeyError(f"unknown shard {name!r} "
-                               f"(have {sorted(self._queues)})")
+            self._shard(name)
         loop = asyncio.get_running_loop()
         commands = {name: ReloadCommand(bundle=bundle,
                                         future=loop.create_future(),

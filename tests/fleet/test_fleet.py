@@ -6,6 +6,8 @@ into shared scenarios rather than paying a spawn per claim.
 """
 
 import asyncio
+import os
+import signal
 
 import pytest
 
@@ -18,6 +20,7 @@ from repro.machine.presets import by_name
 from repro.machine.simulator import MachineSimulator
 from repro.obs.metrics import MetricsRegistry
 from repro.serve.request import ServerOverloaded
+from repro.serve.router import CanaryRouter
 from repro.train.registry import ModelRegistry
 
 
@@ -43,6 +46,12 @@ def make_fleet(registry_root, workers=2, **kwargs):
         routines=("gemm", "gemv"), **kwargs)
 
 
+def versions(fleet, routine="gemm") -> dict:
+    """Each worker's loaded version of ``routine``, from public stats."""
+    return {name: entry["versions"].get(routine)
+            for name, entry in fleet.stats()["workers"].items()}
+
+
 class TestFleetServing:
     def test_parity_overload_and_stats(self, fleet_registry):
         specs = mixed_specs(30)
@@ -61,16 +70,31 @@ class TestFleetServing:
                 with pytest.raises(ServerOverloaded):
                     await fleet.submit_many(mixed_specs(8))
                 fleet.max_pending = 1024
-                ws = await fleet.worker_stats()
-            return records, ws, fleet.stats()
+                rejected = {routine: fleet.telemetry.registry.total(
+                    "fleet_rejected", instance=fleet.telemetry.instance,
+                    reason="overload", routine=routine)
+                    for routine in ("gemm", "gemv")}
 
-        records, worker_stats, stats = run(scenario())
+                class Local:  # a local class does not pickle
+                    pass
+
+                # A frame that cannot cross the pipe fails its own
+                # request only; the worker's pipe keeps working (the
+                # stats round trip below).
+                with pytest.raises(AttributeError, match="pickle"):
+                    await fleet.submit(Local(), worker="worker-0")
+                assert fleet.stats()["pending"] == 0
+                ws = await fleet.worker_stats()
+            return records, ws, fleet.stats(), rejected
+
+        records, worker_stats, stats, rejected = run(scenario())
         assert [r.n_threads for r in records] == expected
         served = [w["server"]["served"] for w in worker_stats.values()]
         assert sum(served) == len(specs)
         assert all(s > 0 for s in served), "router starved a worker"
         assert stats["served"] == len(specs)
         assert stats["rejected"] == 8
+        assert rejected == {"gemm": 6, "gemv": 2}  # counted per routine
         assert stats["n_workers"] == 2 and stats["batches"] >= 2
         assert stats["latency_ms"]["count"] > 0
         for entry in stats["workers"].values():
@@ -93,9 +117,7 @@ class TestFleetServing:
                 after = []
                 while asyncio.get_running_loop().time() < deadline:
                     after = await fleet.submit_many(mixed_specs(12))
-                    versions = {w.versions.get("gemm")
-                                for w in fleet._workers.values()}
-                    if versions == {2}:
+                    if set(versions(fleet).values()) == {2}:
                         break
                     await asyncio.sleep(0.05)
                 else:
@@ -127,18 +149,24 @@ class TestFleetServing:
                                  routine="gemm")
                 bad = await fleet.rollout("gemm", probes=probes,
                                           max_divergence=0.0)
-                versions_bad = {name: w.versions["gemm"]
-                                for name, w in fleet._workers.items()}
+                # Probes given as a generator must be probed just the same.
+                bad_gen = await fleet.rollout(
+                    "gemm", probes=(spec for spec in probes),
+                    max_divergence=0.0)
+                versions_bad = versions(fleet)
                 registry.publish(bundle, routine="gemm")
                 good = await fleet.rollout("gemm", probes=probes,
                                            max_divergence=0.0)
-                versions_good = {name: w.versions["gemm"]
-                                 for name, w in fleet._workers.items()}
+                versions_good = versions(fleet)
                 records = await fleet.submit_many(probes)
-            return bad, versions_bad, good, versions_good, records
+            return bad, bad_gen, versions_bad, good, versions_good, records
 
-        bad, versions_bad, good, versions_good, records = run(scenario())
+        bad, bad_gen, versions_bad, good, versions_good, records = run(
+            scenario())
         assert bad["action"] == "rolled_back" and bad["divergence"] > 0
+        assert bad_gen["n_probes"] == len(probes)
+        assert bad_gen["action"] == "rolled_back"
+        assert bad_gen["divergence"] == bad["divergence"]
         # Canary is back on the pre-rollout version; nobody promoted.
         assert set(versions_bad.values()) == {1}
         assert good["action"] == "promoted" and good["divergence"] == 0.0
@@ -174,18 +202,85 @@ class TestFleetServing:
                 new_pid = await fleet.respawn("worker-0")
                 rejoined = await fleet.submit(GemmSpec(80, 48, 48),
                                               worker="worker-0")
-                versions = dict(fleet._workers["worker-0"].versions)
+                loaded = fleet.stats()["workers"]["worker-0"]["versions"]
                 events = fleet.telemetry.registry.events(
                     "fleet_worker_death")
-            return old_pid, new_pid, survivors, rejoined, versions, events
+            return old_pid, new_pid, survivors, rejoined, loaded, events
 
-        old_pid, new_pid, survivors, rejoined, versions, events = run(
+        old_pid, new_pid, survivors, rejoined, loaded, events = run(
             scenario())
         assert new_pid != old_pid
         assert all(r is not None for r in survivors)
         assert rejoined is not None
-        assert versions == {"gemm": 2, "gemv": 1}
+        assert loaded == {"gemm": 2, "gemv": 1}
         assert len(events) == 1 and events[0]["worker"] == "worker-0"
+
+
+    def test_worker_death_during_rollout_leaves_routing(self,
+                                                        fleet_registry,
+                                                        tiny_bundle):
+        """A worker that dies mid-rollout leaves the router the rollout
+        restores, so later bursts go to the survivor."""
+        bundle, _ = tiny_bundle
+        registry = ModelRegistry(fleet_registry)
+        probes = [GemmSpec(24 + 16 * i, 48, 32) for i in range(8)]
+
+        async def scenario():
+            fleet = make_fleet(fleet_registry, registry=MetricsRegistry())
+            async with fleet:
+                registry.publish(bundle, routine="gemm")
+                rollout = asyncio.ensure_future(
+                    fleet.rollout("gemm", probes=probes))
+                loop = asyncio.get_running_loop()
+                deadline = loop.time() + 30.0
+                while not isinstance(fleet.router, CanaryRouter):
+                    assert loop.time() < deadline, "rollout never split"
+                    await asyncio.sleep(0)
+                # The canary split is live: kill the reference worker.
+                os.kill(fleet.stats()["workers"]["worker-1"]["pid"],
+                        signal.SIGKILL)
+                with pytest.raises(WorkerFailed):
+                    await rollout
+                records = [await fleet.submit_many(mixed_specs(9))
+                           for _ in range(3)]
+                stats = fleet.stats()
+            return records, stats
+
+        records, stats = run(scenario())
+        assert all(r is not None for burst in records for r in burst)
+        assert not stats["workers"]["worker-1"]["alive"]
+        assert stats["workers"]["worker-0"]["counters"]["completed"] >= 27
+
+    def test_cancelled_burst_releases_every_slot(self, fleet_registry):
+        """Cancelling a burst mid-flight leaks no admission slot, in-flight
+        count or outstanding cost; the next full burst is served."""
+        specs = mixed_specs(256)
+
+        async def scenario():
+            fleet = make_fleet(fleet_registry, registry=MetricsRegistry())
+            async with fleet:
+                fleet.max_pending = len(specs)  # any leak rejects the next
+                burst = asyncio.ensure_future(fleet.submit_many(specs))
+                await asyncio.sleep(0)
+                await asyncio.sleep(0)
+                burst.cancel()
+                with pytest.raises(asyncio.CancelledError):
+                    await burst
+                loop = asyncio.get_running_loop()
+                deadline = loop.time() + 10.0
+                while (fleet.stats()["pending"]
+                       and loop.time() < deadline):
+                    await asyncio.sleep(0.01)
+                stats = fleet.stats()
+                records = await fleet.submit_many(specs)
+            return stats, records
+
+        stats, records = run(scenario())
+        assert stats["pending"] == 0
+        for entry in stats["workers"].values():
+            assert entry["in_flight"] == 0
+            assert entry["cost_in_flight"] == 0.0
+        assert [r.spec for r in records] == specs
 
 
 class TestFleetConstruction:

@@ -4,8 +4,7 @@ import pickle
 
 import pytest
 
-from repro.fleet import (WorkerSpec, chunk_slots, chunk_slots_by_cost,
-                         resolve_factory)
+from repro.fleet import WorkerSpec, chunk_slots, resolve_factory
 
 
 class TestWorkerSpec:
@@ -85,31 +84,30 @@ class TestChunkSlots:
 class TestChunkSlotsByCost:
     def test_no_budget_matches_count_chunking(self):
         slots = list(range(10))
-        assert list(chunk_slots_by_cost(slots, [1.0] * 10, 4, None)) \
+        assert list(chunk_slots(slots, 4, [1.0] * 10, None)) \
             == list(chunk_slots(slots, 4))
 
     def test_budget_splits_before_overflow(self):
-        chunks = list(chunk_slots_by_cost([7, 8, 9], [5.0, 5.0, 5.0],
-                                          16, 10.0))
+        chunks = list(chunk_slots([7, 8, 9], 16, [5.0, 5.0, 5.0], 10.0))
         assert chunks == [[7, 8], [9]]
 
     def test_oversized_slot_frames_alone(self):
-        assert list(chunk_slots_by_cost([0, 1], [99.0, 1.0], 16, 10.0)) \
+        assert list(chunk_slots([0, 1], 16, [99.0, 1.0], 10.0)) \
             == [[0], [1]]
 
     def test_empty_and_singleton_edges(self):
-        assert list(chunk_slots_by_cost([], [], 4, 10.0)) == []
-        assert list(chunk_slots_by_cost([5, 6], [1.0, 1.0], 1, 10.0)) \
+        assert list(chunk_slots([], 4, [], 10.0)) == []
+        assert list(chunk_slots([5, 6], 1, [1.0, 1.0], 10.0)) \
             == [[5], [6]]
 
     def test_ragged_tail_covers_in_order(self):
         slots = list(range(7))
         costs = [2.0] * 7
-        chunks = list(chunk_slots_by_cost(slots, costs, 3, 100.0))
+        chunks = list(chunk_slots(slots, 3, costs, 100.0))
         assert chunks == [[0, 1, 2], [3, 4, 5], [6]]
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            list(chunk_slots_by_cost([1], [1.0], 0, None))
+            list(chunk_slots([1], 0, [1.0], None))
         with pytest.raises(ValueError):
-            list(chunk_slots_by_cost([1], [1.0], 4, -1.0))
+            list(chunk_slots([1], 4, [1.0], -1.0))

@@ -13,7 +13,7 @@ from repro.blas.gemv import GemvSpec
 from repro.gemm.counts import gemm_flops
 from repro.gemm.interface import GemmSpec
 from repro.serve import (BatchPolicy, CostAwareLeastLoadedRouter, CostModel,
-                         GemmServer, LeastLoadedRouter, chunk_by_cost)
+                         GemmServer, LeastLoadedRouter, chunk_slots)
 
 HEAVY = GemmSpec(256, 256, 256)   # ~33.6 MFLOP
 LIGHT = GemmSpec(8, 8, 8)         # ~1.2 kFLOP
@@ -60,30 +60,30 @@ class TestCostModel:
 
 class TestChunkByCost:
     def test_empty_slots_yield_nothing(self):
-        assert list(chunk_by_cost([], [], 4, 100.0)) == []
+        assert list(chunk_slots([], 4, [], 100.0)) == []
 
     def test_max_batch_one_yields_singletons(self):
-        chunks = list(chunk_by_cost([0, 1, 2], [1.0, 1.0, 1.0], 1, None))
+        chunks = list(chunk_slots([0, 1, 2], 1, [1.0, 1.0, 1.0], None))
         assert chunks == [[0], [1], [2]]
 
     def test_count_only_boundaries_match_slicing(self):
         slots = list(range(10))
-        chunks = list(chunk_by_cost(slots, [1.0] * 10, 4, None))
+        chunks = list(chunk_slots(slots, 4, [1.0] * 10, None))
         assert chunks == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]  # ragged tail
 
     def test_budget_splits_before_overflow(self):
-        chunks = list(chunk_by_cost([0, 1, 2], [5.0, 5.0, 5.0], 16, 10.0))
+        chunks = list(chunk_slots([0, 1, 2], 16, [5.0, 5.0, 5.0], 10.0))
         assert chunks == [[0, 1], [2]]
 
     def test_oversized_slot_frames_alone(self):
-        chunks = list(chunk_by_cost([0, 1], [100.0, 1.0], 16, 10.0))
+        chunks = list(chunk_slots([0, 1], 16, [100.0, 1.0], 10.0))
         assert chunks == [[0], [1]]
 
     def test_every_slot_appears_once_in_order(self):
         slots = list(range(13))
         costs = [3.0, 9.0, 1.0, 1.0, 1.0, 20.0, 2.0, 2.0, 2.0, 2.0, 2.0,
                  1.0, 1.0]
-        chunks = list(chunk_by_cost(slots, costs, 4, 10.0))
+        chunks = list(chunk_slots(slots, 4, costs, 10.0))
         assert [s for chunk in chunks for s in chunk] == slots
         assert all(len(chunk) <= 4 for chunk in chunks)
         assert all(sum(costs[s] for s in chunk) <= 10.0
@@ -91,9 +91,9 @@ class TestChunkByCost:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            list(chunk_by_cost([0], [1.0], 0, None))
+            list(chunk_slots([0], 0, [1.0], None))
         with pytest.raises(ValueError):
-            list(chunk_by_cost([0], [1.0], 4, 0.0))
+            list(chunk_slots([0], 4, [1.0], 0.0))
 
 
 class TestBatchPolicyCost:

@@ -1,68 +1,24 @@
-"""Shard routing: determinism, MRO dispatch, tenant mapping."""
+"""Shard routing: determinism, ring membership, tenant mapping."""
 
 import asyncio
 
 import pytest
 
-from repro.blas.syrk import SyrkSpec
 from repro.gemm.interface import GemmSpec
-from repro.serve import (GemmServer, HashRouter, RoundRobinRouter,
-                         SingleShardRouter, SpecTypeRouter, TenantRouter,
-                         default_router)
+from repro.serve import (ConsistentHashRouter, GemmServer, ShardRouter,
+                         SingleShardRouter, TenantRouter, default_router)
 
 
-class TestHashRouter:
-    def test_same_shape_same_shard(self):
-        a = HashRouter(["east", "west"])
-        b = HashRouter(["east", "west"])  # a fresh instance
-        for i in range(50):
-            spec = GemmSpec(16 + i, 64, 64)
-            assert a.route(spec) == b.route(spec)
-            assert a.route(spec) == a.route(spec)
+class TestShardRouter:
+    def test_route_is_the_one_spec_batch(self):
+        class Parity(ShardRouter):
+            def route_batch(self, specs, client="default"):
+                return ["even" if spec.m % 2 == 0 else "odd"
+                        for spec in specs]
 
-    def test_spreads_across_shards(self):
-        router = HashRouter(["east", "west", "north"])
-        hit = {router.route(GemmSpec(16 + i, 64, 64)) for i in range(60)}
-        assert hit == {"east", "west", "north"}
-
-    def test_accepts_dims_triples(self):
-        router = HashRouter(["east", "west"])
-        assert router.route((64, 64, 64)) == router.route(GemmSpec(64, 64, 64))
-
-    def test_needs_shards(self):
-        with pytest.raises(ValueError):
-            HashRouter([])
-
-
-class TestRoundRobinRouter:
-    def test_cycles_in_order(self):
-        router = RoundRobinRouter(["a", "b", "c"])
-        spec = GemmSpec(8, 8, 8)
-        assert [router.route(spec) for _ in range(7)] == \
-            ["a", "b", "c", "a", "b", "c", "a"]
-
-
-class TestSpecTypeRouter:
-    def test_routes_by_type_with_default(self):
-        router = SpecTypeRouter({SyrkSpec: "routines"}, default="gemm")
-        assert router.route(SyrkSpec(n=8, k=8)) == "routines"
-        assert router.route(GemmSpec(8, 8, 8)) == "gemm"
-
-    def test_subclass_inherits_route(self):
-        class FancyGemm(GemmSpec):
-            pass
-
-        router = SpecTypeRouter({GemmSpec: "gemm"})
-        assert router.route(FancyGemm(8, 8, 8)) == "gemm"
-
-    def test_no_match_without_default_raises(self):
-        router = SpecTypeRouter({SyrkSpec: "routines"})
-        with pytest.raises(TypeError):
-            router.route(GemmSpec(8, 8, 8))
-
-    def test_non_class_key_rejected(self):
-        with pytest.raises(TypeError):
-            SpecTypeRouter({"gemm": "gemm"})
+        router = Parity()
+        assert router.route(GemmSpec(8, 8, 8)) == "even"
+        assert router.route(GemmSpec(9, 8, 8)) == "odd"
 
 
 class TestTenantRouter:
@@ -86,7 +42,7 @@ class TestDefaultRouter:
         assert router.route(GemmSpec(8, 8, 8)) == "only"
 
     def test_many_shards_hash(self):
-        assert isinstance(default_router(["a", "b"]), HashRouter)
+        assert isinstance(default_router(["a", "b"]), ConsistentHashRouter)
 
 
 class TestServerSharding:
@@ -130,9 +86,15 @@ class TestServerSharding:
 
 
 class TestConsistentHashRouter:
-    def test_deterministic_across_instances(self):
-        from repro.serve import ConsistentHashRouter
+    def test_accepts_dims_triples(self):
+        router = ConsistentHashRouter(["east", "west"])
+        assert router.route((64, 64, 64)) == router.route(GemmSpec(64, 64, 64))
 
+    def test_needs_shards(self):
+        with pytest.raises(ValueError):
+            ConsistentHashRouter([])
+
+    def test_deterministic_across_instances(self):
         a = ConsistentHashRouter(["w0", "w1", "w2"])
         b = ConsistentHashRouter(["w0", "w1", "w2"])
         specs = [GemmSpec(16 + i, 64, 64) for i in range(50)]
@@ -140,15 +102,11 @@ class TestConsistentHashRouter:
         assert a.route_batch(specs) == [a.route(s) for s in specs]
 
     def test_spreads_across_shards(self):
-        from repro.serve import ConsistentHashRouter
-
         router = ConsistentHashRouter(["w0", "w1", "w2"])
         hit = {router.route(GemmSpec(16 + i, 64, 64)) for i in range(80)}
         assert hit == {"w0", "w1", "w2"}
 
     def test_removal_only_remaps_lost_shard_keys(self):
-        from repro.serve import ConsistentHashRouter
-
         router = ConsistentHashRouter(["w0", "w1", "w2"])
         specs = [GemmSpec(16 + i, 64, 64) for i in range(100)]
         before = [router.route(s) for s in specs]
@@ -163,8 +121,6 @@ class TestConsistentHashRouter:
                 assert owner_after in {"w0", "w2"}
 
     def test_add_restores_prior_assignment(self):
-        from repro.serve import ConsistentHashRouter
-
         router = ConsistentHashRouter(["w0", "w1", "w2"])
         specs = [GemmSpec(16 + i, 64, 64) for i in range(60)]
         before = [router.route(s) for s in specs]
@@ -173,8 +129,6 @@ class TestConsistentHashRouter:
         assert [router.route(s) for s in specs] == before
 
     def test_cannot_empty_the_ring(self):
-        from repro.serve import ConsistentHashRouter
-
         router = ConsistentHashRouter(["only"])
         with pytest.raises(ValueError):
             router.remove("only")
@@ -236,14 +190,31 @@ class TestCanaryRouter:
             CanaryRouter(base, "canary", fraction=1.5)
 
     def test_stateful_base_sees_only_its_own_slots(self):
-        from repro.serve import CanaryRouter, RoundRobinRouter
+        from repro.serve import CanaryRouter, LeastLoadedRouter
 
         specs = [GemmSpec(16 + i, 64, 64) for i in range(40)]
-        solo = RoundRobinRouter(["a", "b"])
-        wrapped = RoundRobinRouter(["a", "b"])
+        solo = LeastLoadedRouter(["a", "b"], loads={"a": 3})
+        wrapped = LeastLoadedRouter(["a", "b"], loads={"a": 3})
         router = CanaryRouter(wrapped, "canary", fraction=0.4)
         assignment = router.route_batch(specs)
         rest = [name for name in assignment if name != "canary"]
-        # The wrapped round-robin advanced once per non-canary slot:
-        # its assignment equals routing just those slots standalone.
+        assert 0 < len(rest) < len(specs)
+        # The wrapped router counted one simulated admission per
+        # non-canary slot only: its assignment equals routing just
+        # those slots standalone.
         assert rest == solo.route_batch(specs[:len(rest)])
+
+    def test_membership_changes_reach_the_base(self):
+        """A shard that dies mid-rollout leaves the base router too."""
+        from repro.serve import CanaryRouter, LeastLoadedRouter
+
+        base = LeastLoadedRouter(["w0", "w1"], loads={})
+        router = CanaryRouter(base, "w0", fraction=0.0)
+        router.remove("w1")
+        assert base.shards == ["w0"]
+        assert set(base.route_batch([GemmSpec(8, 8, 8)] * 4)) == {"w0"}
+        router.add("w1")
+        assert base.shards == ["w0", "w1"]
+        # A base without membership (a pure function of the request)
+        # has nothing to update.
+        CanaryRouter(SingleShardRouter("w0"), "w1").remove("w0")

@@ -171,10 +171,42 @@ class TestSlabFailureModes:
         with pytest.raises(ServerClosed):
             asyncio.run(run())
 
+    @pytest.mark.parametrize("max_queue", [2, 64])
+    def test_cancelled_burst_releases_every_slot(self, make_service,
+                                                 max_queue):
+        """Cancel a burst two loop steps in: with a tiny queue some slabs
+        are still waiting to be enqueued, with a roomy one every slab
+        reached its shard.  Either way each slot is released once."""
+        specs = burst(256)
+        server = GemmServer(make_service(), max_batch=16, max_wait_ms=1.0,
+                            max_queue=max_queue, max_pending=len(specs),
+                            fair_share=None)
+
+        async def run():
+            async with server:
+                task = asyncio.ensure_future(server.submit_many(specs))
+                await asyncio.sleep(0)
+                await asyncio.sleep(0)
+                task.cancel()
+                with pytest.raises(asyncio.CancelledError):
+                    await task
+                loop = asyncio.get_running_loop()
+                deadline = loop.time() + 10.0
+                while server.pending and loop.time() < deadline:
+                    await asyncio.sleep(0.01)
+                pending = server.pending
+                # A leaked slot would get this full-size burst rejected.
+                return pending, await server.submit_many(specs)
+
+        pending, records = asyncio.run(run())
+        assert pending == 0
+        assert [r.spec for r in records] == specs
+        assert server.pending == 0
+
     def test_unknown_shard_rejected_before_admission(self, make_service):
         class LostRouter:
-            def route(self, spec, client):
-                return "nowhere"
+            def route_batch(self, specs, client):
+                return ["nowhere"] * len(specs)
 
         server = GemmServer({"default": make_service()}, router=LostRouter())
 
