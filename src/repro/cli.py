@@ -525,6 +525,7 @@ def cmd_fleet(args) -> int:
 
     from repro.bench.report import format_table
     from repro.fleet import FleetServer
+    from repro.serve.cost import cost_of
     from repro.train.registry import ModelRegistry
 
     try:
@@ -570,7 +571,7 @@ def cmd_fleet(args) -> int:
         counts = Counter(assignment)
         # Cost-weight the preview: per-worker predicted FLOPs shows
         # whether the routing policy balances load, not just requests.
-        costs = server.cost_model.cost_of(specs)
+        costs = cost_of(specs)
         cost_by_worker = Counter()
         for name, cost in zip(assignment, costs):
             cost_by_worker[name] += cost

@@ -142,7 +142,6 @@ class ThreadPredictor:
         self.table = table
         self.cache = cache if cache is not None else PredictionCache(cache_size)
         self.n_evaluations = 0
-        self.n_batch_evaluations = 0
         self.n_model_passes = 0
         self.n_table_hits = 0
         self.n_table_fallbacks = 0
@@ -284,7 +283,6 @@ class ThreadPredictor:
         if misses:
             scores = self.predicted_runtimes_batch([k[1:] for k in misses])
             self.n_evaluations += len(misses)
-            self.n_batch_evaluations += 1
             self.n_model_passes += 1
             served = {}
             for key, row in zip(misses, np.argmin(scores, axis=1)):

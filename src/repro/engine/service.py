@@ -40,6 +40,15 @@ from repro.engine.cache import routine_key as _routine_key
 from repro.engine.cache import shape_key as _shape_key
 from repro.obs.metrics import default_registry, next_instance_id
 
+#: A predictor's lifetime counters, by the key ``stats()`` reports them
+#: under.
+_COUNTERS = {"evaluations": "n_evaluations",
+             "model_passes": "n_model_passes",
+             "table_hits": "n_table_hits",
+             "table_fallbacks": "n_table_fallbacks",
+             "table_interpolated": "n_table_interpolated"}
+_TABLE_KEYS = ("table_hits", "table_fallbacks", "table_interpolated")
+
 
 @dataclass
 class GemmCallRecord:
@@ -57,6 +66,16 @@ class GemmCallRecord:
     @property
     def routine(self) -> str:
         return routine_of(self.spec)
+
+
+def _table_row(counts: dict) -> dict:
+    """The decision-table keys of a counter row; ``table_interpolated``
+    only when non-zero."""
+    row = {"table_hits": counts["table_hits"],
+           "table_fallbacks": counts["table_fallbacks"]}
+    if counts["table_interpolated"]:
+        row["table_interpolated"] = counts["table_interpolated"]
+    return row
 
 
 class GemmService:
@@ -118,14 +137,12 @@ class GemmService:
         self.history: list = []
         self.n_requests: int = 0
         self.n_batches: int = 0
-        self.n_reloads: int = 0
-        self.bundle_generation: int = 0
+        self.bundle_generation: int = 0     # applied reloads
         self.bundle_info: Dict[str, str] = {}
         self.routine_info: Dict[str, dict] = {}
         self._machine_max: Optional[int] = None
-        self._retired_counts: Dict[str, int] = {
-            "evaluations": 0, "model_passes": 0,
-            "table_hits": 0, "table_fallbacks": 0, "table_interpolated": 0}
+        # routine -> counters of the predictors reload() retired from it
+        self._retired: Dict[str, Dict[str, int]] = {}
         self._closed = False
         self.instance = next_instance_id("engine")
         # Weakly-held pull collector: exporters see the live counters,
@@ -367,20 +384,15 @@ class GemmService:
         if new_refiner is not None:
             self.refiner = new_refiner
         if old is not None:
-            self._retired_counts["evaluations"] += old.n_evaluations
-            self._retired_counts["model_passes"] += old.n_model_passes
-            self._retired_counts["table_hits"] += \
-                getattr(old, "n_table_hits", 0)
-            self._retired_counts["table_fallbacks"] += \
-                getattr(old, "n_table_fallbacks", 0)
-            self._retired_counts["table_interpolated"] += \
-                getattr(old, "n_table_interpolated", 0)
+            retired = self._retired.setdefault(routine,
+                                               dict.fromkeys(_COUNTERS, 0))
+            for key, attr in _COUNTERS.items():
+                retired[key] += getattr(old, attr)
         else:
             # reload() can install a routine the service never served;
             # give it the same default execution wiring registration
             # would have.
             self._wire_routine_backend(routine, grid)
-        self.n_reloads += 1
         self.bundle_generation += 1
         meta = self._bundle_meta(bundle)
         self.routine_info[routine] = meta
@@ -526,6 +538,31 @@ class GemmService:
         return record
 
     # -- stats -----------------------------------------------------------
+    def _tallies(self) -> tuple:
+        """``(per routine, total)`` lifetime prediction counters.
+
+        The predictors own the counts; this sums them on read.  A
+        routine's row adds the predictors a reload retired from it to
+        its live predictor, so no count goes down across a reload.  The
+        total counts a predictor that serves several routines once.
+        """
+        predictors = {routine: p for routine, p in self._predictors.items()
+                      if p is not None}
+        per_routine = {}
+        for routine, p in predictors.items():
+            retired = self._retired.get(routine)
+            per_routine[routine] = {
+                key: getattr(p, attr) + (retired[key] if retired else 0)
+                for key, attr in _COUNTERS.items()}
+        total = dict.fromkeys(_COUNTERS, 0)
+        for p in {id(p): p for p in predictors.values()}.values():
+            for key, attr in _COUNTERS.items():
+                total[key] += getattr(p, attr)
+        for retired in self._retired.values():
+            for key in _COUNTERS:
+                total[key] += retired[key]
+        return per_routine, total
+
     def metrics(self) -> Dict[str, float]:
         """Flat counter pull for a metrics-registry collector.
 
@@ -535,30 +572,25 @@ class GemmService:
         """
         if self._closed:
             return {}
-        live = list({id(p): p for p in self._predictors.values()
-                     if p is not None}.values())
         cache_hits = cache_misses = 0
-        for p in live:
+        for p in {id(p): p for p in self._predictors.values()}.values():
             cache_hits += p.cache.hits
             cache_misses += p.cache.misses
+        _, total = self._tallies()
         out = {
             "engine_requests": self.n_requests,
             "engine_batches": self.n_batches,
-            "engine_evaluations": (sum(p.n_evaluations for p in live)
-                                   + self._retired_counts["evaluations"]),
-            "engine_model_passes": (sum(p.n_model_passes for p in live)
-                                    + self._retired_counts["model_passes"]),
+            "engine_evaluations": total["evaluations"],
+            "engine_model_passes": total["model_passes"],
             "engine_cache_hits": cache_hits,
             "engine_cache_misses": cache_misses,
-            "engine_reloads": self.n_reloads,
+            "engine_reloads": self.bundle_generation,
         }
-        tables = self.table_counters()
-        if tables["table_hits"] or tables["table_fallbacks"]:
-            out["engine_table_hits"] = tables["table_hits"]
-            out["engine_table_fallbacks"] = tables["table_fallbacks"]
-            if tables["table_interpolated"]:
-                out["engine_table_interpolated"] = \
-                    tables["table_interpolated"]
+        if total["table_hits"] or total["table_fallbacks"]:
+            out["engine_table_hits"] = total["table_hits"]
+            out["engine_table_fallbacks"] = total["table_fallbacks"]
+            if total["table_interpolated"]:
+                out["engine_table_interpolated"] = total["table_interpolated"]
         return out
 
     def table_counters(self) -> dict:
@@ -567,22 +599,24 @@ class GemmService:
         ``table_hits`` are predictions answered straight from a tier-0
         table (no model pass); ``table_fallbacks`` are cache misses
         that probed a table but fell off its lattice and took the
-        plan/object path.  Retired (hot-reloaded) predictors' counts
-        are folded in, so the values are monotonic — the serving
-        telemetry diffs them per micro-batch.
+        plan/object path; ``table_interpolated`` is the sub-count of
+        hits answered between lattice points.  Retired (hot-reloaded)
+        predictors' counts are folded in, so the values are monotonic.
+        O(predictors): drift monitors read this after every batch.
         """
-        live = {id(p): p for p in self._predictors.values()
-                if p is not None}.values()
-        return {
-            "table_hits": (sum(getattr(p, "n_table_hits", 0) for p in live)
-                           + self._retired_counts["table_hits"]),
-            "table_fallbacks": (
-                sum(getattr(p, "n_table_fallbacks", 0) for p in live)
-                + self._retired_counts["table_fallbacks"]),
-            "table_interpolated": (
-                sum(getattr(p, "n_table_interpolated", 0) for p in live)
-                + self._retired_counts["table_interpolated"]),
-        }
+        _, total = self._tallies()
+        return {key: total[key] for key in _TABLE_KEYS}
+
+    def routine_table_counters(self) -> Dict[str, dict]:
+        """:meth:`table_counters` per routine, for the routines whose
+        table answered or fell back; the same O(predictors) read.
+
+        ``table_interpolated`` appears only when non-zero.
+        """
+        per_routine, _ = self._tallies()
+        return {routine: _table_row(counts)
+                for routine, counts in per_routine.items()
+                if counts["table_hits"] or counts["table_fallbacks"]}
 
     @property
     def memo_hit_rate(self) -> float:
@@ -594,7 +628,8 @@ class GemmService:
     def stats(self) -> dict:
         """History- and cache-derived serving statistics.
 
-        ``evaluations``/``model_passes`` stay monotonic across
+        Prediction counters (``evaluations``, ``model_passes``, the
+        table counts), in total and per routine, stay monotonic across
         hot-reloads: counters of retired predictors are folded in.
         Cache counters aggregate every routine's predictor; the
         ``routines`` entry breaks requests, evaluations and cache
@@ -602,6 +637,7 @@ class GemmService:
         """
         predictors = dict(self._predictors)
         live = {id(p): p for p in predictors.values()}.values()
+        per_routine, total = self._tallies()
         cache_stats = {"size": 0, "maxsize": 0,
                        "hits": 0, "misses": 0, "evictions": 0}
         for p in live:
@@ -616,34 +652,26 @@ class GemmService:
             "batches": self.n_batches,
             "unique_shapes": len({_routine_key(r.spec)
                                   for r in self.history}),
-            "evaluations": (sum(p.n_evaluations for p in live)
-                            + self._retired_counts["evaluations"]),
-            "model_passes": (sum(p.n_model_passes for p in live)
-                             + self._retired_counts["model_passes"]),
+            "evaluations": total["evaluations"],
+            "model_passes": total["model_passes"],
             "memo_hit_rate": round(self.memo_hit_rate, 4),
-            "reloads": self.n_reloads,
+            "reloads": self.bundle_generation,
             "bundle_generation": self.bundle_generation,
             **{f"cache_{k}": v for k, v in cache_stats.items()},
         }
-        if any(getattr(p, "table", None) is not None for p in live) \
-                or self._retired_counts["table_hits"] \
-                or self._retired_counts["table_fallbacks"]:
-            stats.update(self.table_counters())
+        if any(p.table is not None for p in live) \
+                or any(r["table_hits"] or r["table_fallbacks"]
+                       for r in self._retired.values()):
+            stats.update({key: total[key] for key in _TABLE_KEYS})
         if len(predictors) > 1 or self.routine_info:
             requests = Counter(r.routine for r in self.history)
             stats["routines"] = {
                 name: {
                     "requests": requests.get(name, 0),
-                    "evaluations": predictor.n_evaluations,
-                    "model_passes": predictor.n_model_passes,
-                    **({"table_hits": predictor.n_table_hits,
-                        "table_fallbacks": predictor.n_table_fallbacks,
-                        **({"table_interpolated":
-                            predictor.n_table_interpolated}
-                           if getattr(predictor, "n_table_interpolated", 0)
-                           else {})}
-                       if getattr(predictor, "table", None) is not None
-                       else {}),
+                    "evaluations": per_routine[name]["evaluations"],
+                    "model_passes": per_routine[name]["model_passes"],
+                    **(_table_row(per_routine[name])
+                       if predictor.table is not None else {}),
                     **{f"cache_{k}": v
                        for k, v in predictor.cache.stats().items()},
                     **self.routine_info.get(name, {}),

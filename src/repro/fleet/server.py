@@ -45,7 +45,6 @@ from repro.fleet.transport import (ErrorFrame, ReadyFrame, ReloadedFrame,
                                    StatsFrame, StatsReply, StopFrame,
                                    StoppedFrame)
 from repro.fleet.worker import worker_main
-from repro.serve.cost import CostModel
 from repro.serve.front import Front
 from repro.serve.request import ServerOverloaded
 from repro.serve.router import (CanaryRouter, ConsistentHashRouter,
@@ -62,7 +61,6 @@ class _Worker:
 
     def __init__(self, spec: WorkerSpec):
         self.spec = spec
-        self.reloads = 0
         self.reset()
 
     def reset(self) -> None:
@@ -104,10 +102,6 @@ class FleetServer(Front):
         on a hash ring), or any
         :class:`~repro.serve.router.ShardRouter` instance whose shard
         names are worker names.
-    cost_model:
-        The :class:`~repro.serve.cost.CostModel` pricing bursts for
-        slab chopping, the outstanding-cost gauges and the cost-aware
-        router (default: raw per-spec FLOPs).
     max_pending:
         Fleet-wide admission cap; defaults to twice the summed worker
         queue capacity (the front should reject before workers do).
@@ -118,7 +112,7 @@ class FleetServer(Front):
 
     def __init__(self, specs, router="least_loaded", max_pending: int = None,
                  registry=None, spawn_timeout_s: float = 60.0,
-                 stats_timeout_s: float = 10.0, cost_model=None):
+                 stats_timeout_s: float = 10.0):
         specs = [s.validate() for s in specs]
         if not specs:
             raise ValueError("a fleet needs at least one worker spec")
@@ -126,9 +120,8 @@ class FleetServer(Front):
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate worker names in {names}")
         self._workers = {s.name: _Worker(s) for s in specs}
-        cost_model = cost_model if cost_model is not None else CostModel()
         super().__init__(
-            self._build_router(router, cost_model), cost_model,
+            self._build_router(router),
             max_pending=(int(max_pending) if max_pending is not None
                          else 2 * sum(s.max_queue for s in specs)),
             fair_share=None,
@@ -165,14 +158,13 @@ class FleetServer(Front):
         return cls(specs, router=router, registry=registry)
 
     # -- plumbing ---------------------------------------------------------
-    def _build_router(self, choice, cost_model):
+    def _build_router(self, choice):
         names = list(self._workers)
         if choice in ("least_loaded", "least-loaded"):
             return LeastLoadedRouter(names, loads=self._live_loads)
         if choice in ("cost_least_loaded", "cost-least-loaded",
                       "cost_aware"):
-            return CostAwareLeastLoadedRouter(names, loads=self._live_costs,
-                                              cost_model=cost_model)
+            return CostAwareLeastLoadedRouter(names, loads=self._live_costs)
         if choice in ("hash", "consistent_hash", "consistent-hash"):
             return ConsistentHashRouter(names)
         if isinstance(choice, str):
@@ -294,7 +286,6 @@ class FleetServer(Front):
                 self._fail(worker, entry, self._rebuild_error(worker, frame))
         elif isinstance(frame, ReloadedFrame):
             worker.versions[frame.routine] = frame.version
-            worker.reloads += 1
             self.telemetry.record_reload(worker.spec.name)
             if frame.msg_id is not None:
                 entry = self._settle(worker, frame.msg_id)
@@ -609,8 +600,8 @@ class FleetServer(Front):
                      "in_flight": worker.in_flight,
                      "cost_in_flight": worker.cost_in_flight,
                      "versions": dict(worker.versions),
-                     "reloads": worker.reloads,
-                     "counters": counters.get(name, {})}
+                     "reloads": counters[name]["reloads"],
+                     "counters": counters[name]}
             if worker.final_stats is not None:
                 entry["final"] = worker.final_stats
             workers[name] = entry

@@ -49,7 +49,7 @@ async def _serve(spec, conn) -> None:
 
     service, versions = spec.build_service()
     server = spec.build_server(service)
-    state = {"versions": dict(versions), "reloads": 0}
+    versions = dict(versions)   # routine -> version serving now
     registry = ModelRegistry(spec.registry_root)
     await server.start()
     conn.send(ReadyFrame(worker=spec.name, pid=os.getpid(),
@@ -65,7 +65,7 @@ async def _serve(spec, conn) -> None:
     watcher_task = None
     if spec.watch_interval_s:
         watcher_task = asyncio.ensure_future(
-            _watch_registry(spec, registry, server, state, conn))
+            _watch_registry(spec, registry, server, versions, conn))
     try:
         while True:
             try:
@@ -77,11 +77,11 @@ async def _serve(spec, conn) -> None:
             if isinstance(frame, SlabFrame):
                 _track(_serve_slab(server, conn, frame))
             elif isinstance(frame, ReloadFrame):
-                _track(_apply_reload(spec, registry, server, state, conn,
-                                     frame))
+                _track(_apply_reload(spec, registry, server, versions,
+                                     conn, frame))
             elif isinstance(frame, StatsFrame):
                 conn.send(StatsReply(frame.msg_id,
-                                     _stats(spec, server, state)))
+                                     _stats(spec, server, versions)))
             else:
                 conn.send(ErrorFrame(None,
                                      f"unknown frame {type(frame).__name__}",
@@ -93,7 +93,7 @@ async def _serve(spec, conn) -> None:
             await asyncio.gather(*tasks, return_exceptions=True)
         await server.close()
     try:
-        conn.send(StoppedFrame(stats=_stats(spec, server, state)))
+        conn.send(StoppedFrame(stats=_stats(spec, server, versions)))
     except (OSError, BrokenPipeError):
         pass
 
@@ -108,15 +108,15 @@ async def _serve_slab(server, conn, frame) -> None:
                              kind=type(exc).__name__))
 
 
-async def _apply_reload(spec, registry, server, state, conn, frame) -> None:
+async def _apply_reload(spec, registry, server, versions, conn,
+                        frame) -> None:
     try:
         bundle = registry.load(frame.routine, spec.machine,
                                version=frame.version)
         summary = await server.reload(bundle, routine=frame.routine)
         version = registry.resolve(frame.routine, spec.machine,
                                    frame.version).version
-        state["versions"][frame.routine] = version
-        state["reloads"] += 1
+        versions[frame.routine] = version
         generation = max(s.get("generation", 0) for s in summary.values())
         conn.send(ReloadedFrame(frame.msg_id, frame.routine, version,
                                 generation=generation))
@@ -125,12 +125,12 @@ async def _apply_reload(spec, registry, server, state, conn, frame) -> None:
                              kind=type(exc).__name__))
 
 
-async def _watch_registry(spec, registry, server, state, conn) -> None:
+async def _watch_registry(spec, registry, server, versions, conn) -> None:
     """Poll ``latest`` refs; hot-reload and notify on every change."""
     watcher = registry.watch(
-        [(routine, spec.machine) for routine in state["versions"]],
+        [(routine, spec.machine) for routine in versions],
         versions={(routine, spec.machine): version
-                  for routine, version in state["versions"].items()})
+                  for routine, version in versions.items()})
     loop = asyncio.get_running_loop()
     while True:
         await asyncio.sleep(spec.watch_interval_s)
@@ -148,16 +148,17 @@ async def _watch_registry(spec, registry, server, state, conn) -> None:
                 raise
             except Exception:
                 continue  # keep serving the old bundle; retry next poll
-            state["versions"][record.routine] = record.version
-            state["reloads"] += 1
+            versions[record.routine] = record.version
             generation = max(s.get("generation", 0)
                              for s in summary.values())
             conn.send(ReloadedFrame(None, record.routine, record.version,
                                     generation=generation))
 
 
-def _stats(spec, server, state) -> dict:
+def _stats(spec, server, versions) -> dict:
+    """The worker's stats frame; its server's engine counts the reloads."""
+    stats = server.stats()
     return {"worker": spec.name, "pid": os.getpid(),
-            "versions": dict(state["versions"]),
-            "reloads": state["reloads"],
-            "server": server.stats()}
+            "versions": dict(versions),
+            "reloads": stats["reloads"],
+            "server": stats}

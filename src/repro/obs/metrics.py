@@ -12,10 +12,15 @@ place an exporter could read.  :class:`MetricsRegistry` is that place:
   by ``(name, labels)`` so one registry serves many routines, shards
   and clients without collisions;
 * **collectors** — pull-based callbacks registered with
-  :meth:`MetricsRegistry.register_collector`.  Components that already
-  maintain their own counters (the serve telemetry, the engine service)
-  register a zero-hot-path-cost collector instead of double-counting;
-  the registry holds them via *weak references*, so a garbage-collected
+  :meth:`MetricsRegistry.register_collector`.  Every count has one
+  owner, the layer that observes the event.  Counts updated on every
+  call (the prediction cache's hits and misses, the predictor's
+  ``n_*`` counters, the engine's request counts) stay plain attributes
+  of their owner, because an instrument would add a method call to a
+  microsecond-scale path; the engine's and the serve telemetry's
+  collectors pull them at snapshot time.  Counts updated once per
+  slab (the fleet front's) are instruments themselves.  The registry
+  holds collectors via *weak references*, so a garbage-collected
   server drops out of the snapshot automatically — no unregister
   bookkeeping, no cross-test leaks;
 * **events** — a bounded audit ring (:meth:`MetricsRegistry.event`) for
@@ -96,6 +101,23 @@ class Reservoir:
     def extend(self, values: Iterable) -> None:
         for value in values:
             self.append(value)
+
+    @classmethod
+    def merge(cls, reservoirs: Iterable["Reservoir"]) -> "Reservoir":
+        """One read-time view over several reservoirs: their retained
+        samples side by side, with count, total and extrema exact over
+        everything they observed."""
+        reservoirs = list(reservoirs)
+        merged = cls(max(1, sum(len(r) for r in reservoirs)))
+        observed = [r for r in reservoirs if r.count]
+        for r in observed:
+            merged._data.extend(r._data)
+            merged.count += r.count
+            merged.total += r.total
+        if observed:
+            merged.minimum = min(r.minimum for r in observed)
+            merged.maximum = max(r.maximum for r in observed)
+        return merged
 
     # -- sequence protocol (what latency_summary / tests consume) --------
     def __len__(self) -> int:

@@ -188,15 +188,22 @@ def table_fallback_monitor(max_rate: float, min_lookups: int = 20,
     The fallback counter is *the* signal that traffic has left the
     compiled lattice (the decision table keeps answering only shapes it
     was built for) — exactly what should trigger lattice refinement or
-    retraining on captured traffic.
+    retraining on captured traffic.  It reads each distinct shard
+    engine's :meth:`~repro.engine.service.GemmService.table_counters`,
+    the O(predictors) counter view, never the history-walking
+    ``stats()``: the monitor runs after every batch.
     """
 
     def extract(server):
-        telemetry = server.telemetry
-        lookups = telemetry.table_hits + telemetry.table_fallbacks
+        hits = fallbacks = 0
+        for service in {id(s): s for s in server.shards.values()}.values():
+            counts = service.table_counters()
+            hits += counts["table_hits"]
+            fallbacks += counts["table_fallbacks"]
+        lookups = hits + fallbacks
         if lookups == 0:
             return None
-        return telemetry.table_fallbacks / lookups, lookups
+        return fallbacks / lookups, lookups
 
     return DriftMonitor("table_fallback_rate", extract, above=float(max_rate),
                         min_count=min_lookups, callback=callback)

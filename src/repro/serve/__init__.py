@@ -45,7 +45,6 @@ Thread choices are bitwise identical to synchronous
 engine's batch prediction is exact.
 """
 
-from repro.serve.cost import CostModel
 from repro.serve.front import chunk_slots
 from repro.serve.request import ReloadCommand, ServerClosed, ServerOverloaded
 from repro.serve.router import (CanaryRouter, ConsistentHashRouter,
@@ -64,7 +63,6 @@ __all__ = [
     "CanaryRouter",
     "ConsistentHashRouter",
     "CostAwareLeastLoadedRouter",
-    "CostModel",
     "GemmServer",
     "LeastLoadedRouter",
     "MicroBatcher",

@@ -33,6 +33,7 @@ from collections import Counter
 from typing import Optional
 
 from repro.core.routines import routine_of
+from repro.serve.cost import cost_of, cost_of_one
 from repro.serve.request import ServerClosed, ServerOverloaded
 
 
@@ -89,8 +90,6 @@ class Front:
     ----------
     router:
         Maps a burst to shard names (``route_batch(specs, client)``).
-    cost_model:
-        The :class:`~repro.serve.cost.CostModel` pricing requests.
     max_pending:
         Hard cap on admitted-but-unfinished requests.
     fair_share:
@@ -98,12 +97,12 @@ class Front:
     telemetry:
         Receives ``record_rejection(client, reason, routine=, n=)``.
     price_bursts:
-        Price every burst.  Must be true whenever a shard has a cost
-        budget (:meth:`_limits`); the fleet also prices to track each
-        worker's outstanding cost.
+        Price every burst (:func:`~repro.serve.cost.cost_of`).  Must be
+        true whenever a shard has a cost budget (:meth:`_limits`); the
+        fleet also prices to track each worker's outstanding cost.
     """
 
-    def __init__(self, router, cost_model, max_pending: int,
+    def __init__(self, router, max_pending: int,
                  fair_share: Optional[float], telemetry,
                  price_bursts: bool = False):
         if max_pending < 1:
@@ -111,7 +110,6 @@ class Front:
         if fair_share is not None and not 0.0 < fair_share <= 1.0:
             raise ValueError("fair_share must be in (0, 1] or None")
         self.router = router
-        self.cost_model = cost_model
         self.max_pending = int(max_pending)
         self.fair_share = fair_share
         self.telemetry = telemetry
@@ -187,15 +185,6 @@ class Front:
         else:
             del self._client_pending[client]  # no unbounded growth
 
-    def cost_of(self, specs) -> list:
-        """Per-spec predicted costs (scaled FLOPs), one float per spec.
-
-        The pricing that slab chopping and cost-budgeted batching use,
-        exposed so operators can ask what a burst would weigh without
-        submitting it.
-        """
-        return self.cost_model.cost_of(list(specs))
-
     # -- the request path --------------------------------------------------
     async def _arrive(self, wait, client: str, unsent: int) -> None:
         """Await a slab's delivery (backpressure).  If it never arrives —
@@ -229,8 +218,8 @@ class Front:
             future = loop.create_future()
             wait = self._deliver(
                 shard, name, specs, routines,
-                self.cost_model.cost_of_one(specs[0])
-                if self._price_bursts else 0.0, client, future, trace_id)
+                cost_of_one(specs[0]) if self._price_bursts else 0.0,
+                client, future, trace_id)
             if wait is not None:
                 await self._arrive(wait, client, 1)
             return await future
@@ -243,7 +232,7 @@ class Front:
                 group = groups[name] = (self._shard(name), [])
             group[1].append(slot)
         routines = list(map(routine_of, specs))
-        costs = self.cost_model.cost_of(specs) if self._price_bursts else None
+        costs = cost_of(specs) if self._price_bursts else None
         plan = []  # (shard, name, slab slots)
         for name, (shard, slots) in groups.items():
             max_batch, max_cost = self._limits(shard)

@@ -33,7 +33,7 @@ import hashlib
 
 from repro.core.routines import routine_of
 from repro.engine.cache import routine_key
-from repro.serve.cost import CostModel
+from repro.serve.cost import cost_of
 
 
 class ShardRouter:
@@ -188,16 +188,10 @@ class CostAwareLeastLoadedRouter(LeastLoadedRouter):
     order, so identical load states still route identically.
     """
 
-    def __init__(self, shards, loads=None, cost_model=None):
-        super().__init__(shards, loads=loads)
-        self.cost_model = cost_model if cost_model is not None \
-            else CostModel()
-
     def route_batch(self, specs, client: str = "default") -> list:
         loads = self.current_loads()
-        costs = self.cost_model.cost_of(specs)
         out = []
-        for cost in costs:
+        for cost in cost_of(specs):
             shard = min(self.shards, key=lambda s: loads.get(s, 0))
             loads[shard] = loads.get(shard, 0) + cost
             out.append(shard)

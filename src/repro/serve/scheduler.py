@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from repro.core.routines import routine_of
 from repro.engine.cache import shape_key as _shape_key
-from repro.serve.cost import CostModel
+from repro.serve.cost import cost_of
 from repro.serve.request import ReloadCommand
 
 #: Queue sentinel marking the end of the request stream for a shard.
@@ -46,7 +46,7 @@ class BatchPolicy:
         the straggler bound on added latency.
     max_batch_cost:
         Optional predicted-FLOPs budget (see
-        :class:`~repro.serve.cost.CostModel`): the batch also closes
+        :func:`~repro.serve.cost.cost_of`): the batch also closes
         when admitting the next entry would push its summed predicted
         cost past this.  Heavy requests form small batches, light ones
         fill large ones; a single over-budget request still gets a
@@ -94,16 +94,13 @@ class MicroBatcher:
         Optional zero-argument callback invoked once per executed batch
         after every future has resolved — the server evaluates its
         drift monitors here.
-    cost_model:
-        The :class:`~repro.serve.cost.CostModel` pricing entries when
-        the policy carries a ``max_batch_cost`` budget (a default model
-        is built when omitted).  With no budget the model is never
-        consulted, so the count-only hot path stays cost-free.
+
+    Entries are priced only when the policy carries a ``max_batch_cost``
+    budget, so the count-only hot path stays cost-free.
     """
 
     def __init__(self, service, policy: BatchPolicy, telemetry, release,
-                 shard: str = "default", collector=None, after_batch=None,
-                 cost_model=None):
+                 shard: str = "default", collector=None, after_batch=None):
         self.service = service
         self.policy = policy
         self.telemetry = telemetry
@@ -111,7 +108,6 @@ class MicroBatcher:
         self.shard = shard
         self.collector = collector
         self.after_batch = after_batch
-        self.cost_model = cost_model if cost_model is not None else CostModel()
 
     async def run(self, queue: asyncio.Queue) -> None:
         """Consume ``queue`` until the shutdown sentinel arrives.
@@ -163,8 +159,7 @@ class MicroBatcher:
         """
         size = len(batch[0].specs)
         budget = self.policy.max_batch_cost
-        cost = (self.cost_model.total_cost(batch[0].specs)
-                if budget is not None else 0.0)
+        cost = sum(cost_of(batch[0].specs)) if budget is not None else 0.0
         deadline = loop.time() + self.policy.max_wait_ms / 1e3
         while size < self.policy.max_batch:
             remaining = deadline - loop.time()
@@ -187,7 +182,7 @@ class MicroBatcher:
                 self.telemetry.record_close(self.shard, "size")
                 return False, None, item
             if budget is not None:
-                item_cost = self.cost_model.total_cost(item.specs)
+                item_cost = sum(cost_of(item.specs))
                 if cost + item_cost > budget:
                     self.telemetry.record_close(self.shard, "cost")
                     return False, None, item
@@ -198,36 +193,18 @@ class MicroBatcher:
         return False, None, None
 
     def _apply_reload(self, command: ReloadCommand) -> None:
-        """Swap the shard's bundle; resolve the command's future."""
+        """Swap the shard's bundle; resolve the command's future.
+
+        The engine counts the reload (its ``bundle_generation``).
+        """
         try:
             info = self.service.reload(command.bundle, **command.kwargs)
         except Exception as exc:
             if not command.future.done():
                 command.future.set_exception(exc)
             return
-        self.telemetry.record_reload(self.shard)
         if not command.future.done():
             command.future.set_result(info)
-
-    def _table_snapshot(self) -> dict:
-        """Per-routine decision-table counters of the shard's predictors.
-
-        Per-shard execution is strictly sequential (the batcher awaits
-        its own pass), so diffing this snapshot across one
-        :meth:`_execute` attributes table hits/fallbacks to exactly that
-        batch.
-        """
-        counters = {}
-        predictors = getattr(self.service, "predictors", None)
-        if not predictors:  # duck-typed service without predictor map
-            return counters
-        for routine, predictor in predictors.items():
-            if getattr(predictor, "table", None) is not None:
-                counters[routine] = (
-                    predictor.n_table_hits,
-                    predictor.n_table_fallbacks,
-                    getattr(predictor, "n_table_interpolated", 0))
-        return counters
 
     def _tiers_of(self, specs, records) -> list:
         """Which prediction tier answered each record's thread choice.
@@ -297,10 +274,9 @@ class MicroBatcher:
         specs = [spec for entry in batch for spec in entry.specs]
         # Per-batch predicted cost is recorded only under a budget, so
         # count-only serving pays no pricing work on the hot path.
-        batch_cost = (self.cost_model.total_cost(specs)
+        batch_cost = (sum(cost_of(specs))
                       if self.policy.max_batch_cost is not None else None)
-        self.telemetry.record_batch(self.shard, len(specs), cost=batch_cost)
-        tables_before = self._table_snapshot()
+        self.telemetry.record_batch(len(specs), cost=batch_cost)
         try:
             records = list(await loop.run_in_executor(
                 None, self.service.run_batch, specs))
@@ -320,13 +296,6 @@ class MicroBatcher:
                 self.after_batch()
             return
         t_done = loop.time()
-        for routine, counts in self._table_snapshot().items():
-            hits, fallbacks, interpolated = counts
-            h0, f0, i0 = tables_before.get(routine, (0, 0, 0))
-            if hits > h0 or fallbacks > f0:
-                self.telemetry.record_table(routine, hits - h0,
-                                            fallbacks - f0,
-                                            interpolated=interpolated - i0)
         tiers = self._tiers_of(specs, records) \
             if self.collector is not None else None
         n_total = len(specs)

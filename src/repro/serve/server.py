@@ -33,7 +33,6 @@ from typing import Optional
 from repro.obs.metrics import MetricsRegistry, default_registry
 from repro.obs.monitors import MonitorSet
 from repro.obs.tracing import RequestTrace, SpanCollector, new_trace_id
-from repro.serve.cost import CostModel
 from repro.serve.front import Front
 from repro.serve.request import ReloadCommand, SlabRequest
 from repro.serve.router import ShardRouter, default_router
@@ -58,15 +57,11 @@ class GemmServer(Front):
         The :class:`~repro.serve.scheduler.BatchPolicy` thresholds.
     max_batch_cost:
         Optional predicted-FLOPs budget per micro-batch (cost-aware
-        batch formation; see :class:`~repro.serve.cost.CostModel`).
+        batch formation; see :func:`~repro.serve.cost.cost_of`).
         Batches close when *either* the slot count or the predicted
         cost budget trips; slab chopping in :meth:`submit_many` honours
         the same budget.  Thread selections stay bitwise identical to
         count-only serving — only batch boundaries move.
-    cost_model:
-        The :class:`~repro.serve.cost.CostModel` pricing requests
-        (default: raw per-spec FLOPs).  Also consulted by
-        :meth:`cost_of` regardless of whether a budget is set.
     max_queue:
         Per-shard queue capacity; a full queue blocks ``submit`` until a
         batch drains (backpressure, never loss).
@@ -102,7 +97,7 @@ class GemmServer(Front):
 
     def __init__(self, shards, router: Optional[ShardRouter] = None, *,
                  max_batch: int = 16, max_wait_ms: float = 2.0,
-                 max_batch_cost: Optional[float] = None, cost_model=None,
+                 max_batch_cost: Optional[float] = None,
                  max_queue: int = 64, max_pending: Optional[int] = None,
                  fair_share: Optional[float] = 0.5, tracing: bool = False,
                  trace_capacity: int = 4096, monitors=None,
@@ -121,7 +116,6 @@ class GemmServer(Front):
             else default_registry()
         super().__init__(
             router if router is not None else default_router(self.shards),
-            cost_model if cost_model is not None else CostModel(),
             max_pending=(int(max_pending) if max_pending is not None
                          else 2 * self.max_queue * len(self.shards)),
             fair_share=fair_share,
@@ -148,8 +142,7 @@ class GemmServer(Front):
             batcher = MicroBatcher(service, self.policy, self.telemetry,
                                    release=self._release, shard=name,
                                    collector=self.collector,
-                                   after_batch=after_batch,
-                                   cost_model=self.cost_model)
+                                   after_batch=after_batch)
             self._queues[name] = queue
             self._tasks.append(asyncio.ensure_future(batcher.run(queue)))
         return self
@@ -289,12 +282,36 @@ class GemmServer(Front):
 
         ``model_passes``/``evaluations`` aggregate the shards' predictor
         counters, which is what the serve benchmark compares against
-        per-request serving.
+        per-request serving.  The engines own the reload and
+        decision-table counts: ``reloads`` and the ``table_*`` keys
+        (in total and per routine, present once a table has answered
+        or fallen back) sum the distinct shard engines, so a service
+        shared by two shards counts once and calls made on an engine
+        directly count too.
         """
         shard_stats = {name: service.stats()
                        for name, service in self.shards.items()}
-        out = {
-            **self.telemetry.stats(),
+        engines = {id(service): service for service in self.shards.values()}
+        out = self.telemetry.stats()
+        out["reloads"] = sum(service.bundle_generation
+                             for service in engines.values())
+        tables = dict.fromkeys(("table_hits", "table_fallbacks",
+                                "table_interpolated"), 0)
+        routines = out["routines"]
+        for service in engines.values():
+            for key, value in service.table_counters().items():
+                tables[key] += value
+            for routine, counts in service.routine_table_counters().items():
+                row = routines.setdefault(routine, {
+                    "submitted": 0, "served": 0, "failed": 0, "rejected": 0})
+                for key, value in counts.items():
+                    row[key] = row.get(key, 0) + value
+        if tables["table_hits"] or tables["table_fallbacks"]:
+            out["table_hits"] = tables["table_hits"]
+            out["table_fallbacks"] = tables["table_fallbacks"]
+            if tables["table_interpolated"]:
+                out["table_interpolated"] = tables["table_interpolated"]
+        out.update({
             "pending": self._pending,
             "max_pending": self.max_pending,
             "max_queue": self.max_queue,
@@ -303,7 +320,7 @@ class GemmServer(Front):
             "evaluations": sum(s["evaluations"] for s in shard_stats.values()),
             "model_passes": sum(s["model_passes"] for s in shard_stats.values()),
             "shards": shard_stats,
-        }
+        })
         # Observability keys appear only when the features are on, so
         # the default stats dict stays exactly its historic shape.
         if self.policy.max_batch_cost is not None:

@@ -1,25 +1,30 @@
-"""Serving telemetry: queue depth, batch sizes, latency percentiles.
+"""Serving telemetry: admission, batch sizes, latency percentiles.
 
-One :class:`ServeTelemetry` instance per server records every admission
-decision and every executed batch.  Latency aggregation goes through
+One :class:`ServeTelemetry` instance per server counts what only the
+server sees: every admission decision, every executed batch and every
+resolved request.  What the engine sees is counted by the engine — the
+decision-table outcomes and reloads that
+:meth:`~repro.serve.server.GemmServer.stats` reports are summed from
+its shards' :class:`~repro.engine.service.GemmService` counters, not
+copied here.
+
+Latency aggregation goes through
 :func:`repro.bench.stats.latency_summary`, the same helper the benchmark
 reports use, so a p99 printed by ``server.stats()`` and a p99 printed by
-``bench/report.py`` are computed identically.
+``bench/report.py`` are computed identically.  Counters and latency
+samples are additionally segmented by *routine* (the spec's ``routine``
+tag), so a mixed GEMM/GEMV/TRSM/SYRK deployment can answer "which
+routine's tail latency regressed?" without replaying the trace.
 
-Counters and latency samples are additionally segmented by *routine*
-(the spec's ``routine`` tag), so a mixed GEMM/GEMV/TRSM/SYRK deployment
-can answer "which routine's tail latency regressed?" without replaying
-the trace.
-
-Samples are held in bounded :class:`~repro.obs.metrics.Reservoir`
-stores rather than plain lists: a long-lived server's memory no longer
-grows with traffic, while counts, sums and extrema stay exact (and the
-retained sample is the *whole* stream until ``capacity`` observations,
-so short-run statistics are bitwise identical to the unbounded
-implementation this replaced).  Each instance also registers a
-weakly-referenced collector with a
-:class:`~repro.obs.metrics.MetricsRegistry`, so exporters can pull the
-live counters without the hot path ever touching the registry.
+Only distributions that report percentiles keep samples: latency, queue
+wait (globally and per routine) and, under a cost budget, predicted
+batch cost.  They are held in bounded
+:class:`~repro.obs.metrics.Reservoir` stores, so a long-lived server's
+memory does not grow with traffic while counts, sums and extrema stay
+exact.  Batch sizes are an exact histogram and queue depth a running
+maximum.  Each instance also registers a weakly-referenced collector
+with a :class:`~repro.obs.metrics.MetricsRegistry`, so exporters can
+pull the live counters without the hot path ever touching the registry.
 """
 
 from __future__ import annotations
@@ -38,8 +43,8 @@ class ServeTelemetry:
     Parameters
     ----------
     capacity:
-        Bound on every retained sample store (latencies, waits, batch
-        sizes, queue depths — globally and per routine).  Counts and
+        Bound on every retained sample store (latencies and waits,
+        globally and per routine, and batch costs).  Counts and
         aggregate statistics stay exact past it; only the percentile
         sample is subsampled.
     registry:
@@ -55,23 +60,17 @@ class ServeTelemetry:
         self.submitted: int = 0
         self.served: int = 0
         self.failed: int = 0
-        self.table_hits: int = 0
-        self.table_fallbacks: int = 0
-        self.table_interpolated: int = 0
+        self.max_queue_depth: int = 0        # deepest queue at admission
         self.rejected: Counter = Counter()   # reason -> count
         # Bounded sample stores (exact count/sum/min/max; the retained
         # sample is exact below `capacity` observations).
-        self.batch_sizes = Reservoir(capacity)   # one entry per batch
         self.batch_costs = Reservoir(capacity)   # predicted FLOPs per batch
-        self.queue_depths = Reservoir(capacity)  # sampled per admission
         self.latencies = Reservoir(capacity)     # s, submit -> resolve
         self.waits = Reservoir(capacity)         # s, submit -> batch start
         self._batch_size_counts: Counter = Counter()  # size -> n (exact)
         self._batch_closes: Dict[str, Counter] = {}   # shard -> reason -> n
         self.per_client: Dict[str, dict] = {}    # client -> counters
         self.per_routine: Dict[str, dict] = {}   # routine -> counters+samples
-        self.per_shard_batches: Counter = Counter()
-        self.reloads: Counter = Counter()        # shard -> applied reloads
         self.instance = next_instance_id("serve")
         (registry if registry is not None
          else default_registry()).register_collector(
@@ -100,12 +99,13 @@ class ServeTelemetry:
                          routine: Optional[str] = None, n: int = 1) -> None:
         """Record ``n`` admitted requests sharing one queue snapshot.
 
-        The bulk-submit path admits a whole slab per call; the depth
-        sample is recorded once per call (one queue observation), while
-        the counters advance by ``n``.
+        The bulk-submit path admits a whole slab per call; the depth is
+        observed once per call (one queue observation), while the
+        counters advance by ``n``.
         """
         self.submitted += n
-        self.queue_depths.append(int(queue_depth))
+        if queue_depth > self.max_queue_depth:
+            self.max_queue_depth = int(queue_depth)
         self._client(client)["submitted"] += n
         if routine is not None:
             self._routine(routine)["submitted"] += n
@@ -117,13 +117,10 @@ class ServeTelemetry:
         if routine is not None:
             self._routine(routine)["rejected"] += n
 
-    def record_batch(self, shard: str, size: int,
-                     cost: Optional[float] = None) -> None:
+    def record_batch(self, size: int, cost: Optional[float] = None) -> None:
         """One executed batch; ``cost`` is its predicted-FLOPs total
         (recorded only when the scheduler runs under a cost budget)."""
-        self.batch_sizes.append(int(size))
         self._batch_size_counts[int(size)] += 1
-        self.per_shard_batches[shard] += 1
         if cost is not None:
             self.batch_costs.append(float(cost))
 
@@ -153,41 +150,10 @@ class ServeTelemetry:
         if routine is not None:
             self._routine(routine)["failed"] += 1
 
-    def record_reload(self, shard: str) -> None:
-        self.reloads[shard] += 1
-
-    def record_table(self, routine: str, hits: int, fallbacks: int,
-                     interpolated: int = 0) -> None:
-        """Decision-table outcomes for one executed batch.
-
-        ``hits`` are predictions answered from a tier-0 table without a
-        model pass; ``fallbacks`` are cache misses that fell off the
-        table's lattice onto the plan path — the drift signal operators
-        watch when traffic leaves the compiled lattice.
-        ``interpolated`` is the sub-count of hits answered *between*
-        lattice points (plateau cells), distinguishing "traffic sits on
-        the lattice" from "the lattice is coarse but plateaus cover
-        it".  Only called for shards actually serving through a table,
-        so table-less deployments keep their historic stats shape.
-        """
-        self.table_hits += int(hits)
-        self.table_fallbacks += int(fallbacks)
-        self.table_interpolated += int(interpolated)
-        entry = self._routine(routine)
-        entry["table_hits"] = entry.get("table_hits", 0) + int(hits)
-        entry["table_fallbacks"] = (entry.get("table_fallbacks", 0)
-                                    + int(fallbacks))
-        if interpolated:
-            entry["table_interpolated"] = (entry.get("table_interpolated", 0)
-                                           + int(interpolated))
-
     # -- reporting -------------------------------------------------------
     def batch_size_histogram(self) -> dict:
-        """``{batch size: number of batches}`` in ascending size order.
-
-        Exact over the server's lifetime (counted at record time, not
-        recovered from the bounded sample).
-        """
+        """``{batch size: number of batches}`` in ascending size order,
+        exact over the server's lifetime."""
         return dict(sorted(self._batch_size_counts.items()))
 
     def latency(self):
@@ -225,20 +191,19 @@ class ServeTelemetry:
         return out
 
     def metrics(self) -> Dict[str, float]:
-        """Flat counter pull for a metrics-registry collector."""
+        """Flat counter pull for a metrics-registry collector.
+
+        Table outcomes and reloads are the engine's counts: each shard
+        engine's own collector exports them (``engine_table_*``,
+        ``engine_reloads``).
+        """
         out = {
             "serve_submitted": self.submitted,
             "serve_served": self.served,
             "serve_failed": self.failed,
             "serve_rejected": sum(self.rejected.values()),
-            "serve_batches": self.batch_sizes.count,
-            "serve_reloads": sum(self.reloads.values()),
+            "serve_batches": sum(self._batch_size_counts.values()),
         }
-        if self.table_hits or self.table_fallbacks:
-            out["serve_table_hits"] = self.table_hits
-            out["serve_table_fallbacks"] = self.table_fallbacks
-            if self.table_interpolated:
-                out["serve_table_interpolated"] = self.table_interpolated
         if self.latencies.count:
             out["serve_latency_p99_s"] = self.latencies.percentile(99)
             out["serve_latency_mean_s"] = (self.latencies.total
@@ -254,7 +219,8 @@ class ServeTelemetry:
 
     def stats(self) -> dict:
         """Snapshot dict (latency fields in milliseconds)."""
-        n_batches = self.batch_sizes.count
+        n_batches = sum(self._batch_size_counts.values())
+        slots = sum(size * n for size, n in self._batch_size_counts.items())
         out = {
             "submitted": self.submitted,
             "served": self.served,
@@ -262,14 +228,12 @@ class ServeTelemetry:
             "rejected": sum(self.rejected.values()),
             "rejected_by_reason": dict(self.rejected),
             "batches": n_batches,
-            "mean_batch_size": (round(self.batch_sizes.total / n_batches, 3)
+            "mean_batch_size": (round(slots / n_batches, 3)
                                 if n_batches else 0.0),
             "batch_size_histogram": self.batch_size_histogram(),
-            "max_queue_depth": (int(self.queue_depths.maximum)
-                                if self.queue_depths.count else 0),
+            "max_queue_depth": self.max_queue_depth,
             "clients": {c: dict(v) for c, v in self.per_client.items()},
             "routines": self.routine_stats(),
-            "reloads": sum(self.reloads.values()),
         }
         if self._batch_closes:
             totals: Counter = Counter()
@@ -281,11 +245,6 @@ class ServeTelemetry:
                 for shard, counter in self._batch_closes.items()}
         if self.batch_costs.count:
             out["batch_cost"] = self.batch_costs.summary()
-        if self.table_hits or self.table_fallbacks:
-            out["table_hits"] = self.table_hits
-            out["table_fallbacks"] = self.table_fallbacks
-            if self.table_interpolated:
-                out["table_interpolated"] = self.table_interpolated
         if self.latencies:
             out["latency_ms"] = self.latency().as_row()
             out["queue_wait_ms"] = self.wait().as_row()

@@ -456,6 +456,7 @@ class TestServiceIntegration:
         service.reload(bundle)
         service.predict_batch(lattice_shapes(bundle.table)[5:8])
         assert service.stats()["table_hits"] == 8  # retired + live
+        assert service.stats()["routines"]["gemm"]["table_hits"] == 8
 
     def test_server_telemetry_records_table_traffic(self, table_service):
         from repro.gemm.interface import GemmSpec
@@ -468,18 +469,38 @@ class TestServiceIntegration:
         server = GemmServer(service, max_batch=8, max_wait_ms=2.0)
         outcome = replay_trace(server, trace)
         assert outcome.served == 24
-        stats = server.telemetry.stats()
+        stats = server.stats()
         assert stats["table_hits"] == len(shapes)  # one per unique shape
         assert stats["routines"]["gemm"]["table_hits"] == len(shapes)
 
-    def test_telemetry_record_table_unit(self):
-        from repro.serve.telemetry import ServeTelemetry
+    def test_server_sums_each_engine_once(self, table_service):
+        """Server-level table counts are the engines' own, summed over
+        distinct engines: a service behind two shards counts once, a
+        table-less engine adds nothing, and a call made on an engine
+        directly counts too."""
+        import asyncio
 
-        telemetry = ServeTelemetry()
-        assert "table_hits" not in telemetry.stats()
-        telemetry.record_table("gemm", hits=3, fallbacks=1)
-        telemetry.record_table("gemv", hits=2, fallbacks=0)
-        stats = telemetry.stats()
-        assert stats["table_hits"] == 5 and stats["table_fallbacks"] == 1
-        assert telemetry.routine_stats()["gemm"]["table_hits"] == 3
-        assert telemetry.routine_stats()["gemv"]["table_fallbacks"] == 0
+        from repro.gemm.interface import GemmSpec
+        from repro.serve import GemmServer
+
+        bundle, sim, service = table_service
+        plain = GemmService.from_bundle(
+            dataclasses.replace(bundle, table=None), sim)
+        on = [GemmSpec(*s) for s in lattice_shapes(bundle.table)[:4]]
+        off = [GemmSpec(*s) for s in off_lattice_shapes(4, seed=21)]
+        server = GemmServer({"a": service, "b": service, "c": plain})
+        assert "table_hits" not in server.stats()
+        service.predict(off.pop())
+
+        async def scenario():
+            async with server:
+                for shard, specs in (("a", on), ("b", off), ("c", on + off)):
+                    await asyncio.gather(*(server.submit(spec, shard=shard)
+                                           for spec in specs))
+
+        asyncio.run(scenario())
+        stats = server.stats()
+        assert (stats["table_hits"], stats["table_fallbacks"]) == (4, 4)
+        assert stats["routines"]["gemm"]["table_hits"] == 4
+        assert stats["routines"]["gemm"]["table_fallbacks"] == 4
+        assert stats["routines"]["gemm"]["served"] == 14

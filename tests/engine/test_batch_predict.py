@@ -117,7 +117,7 @@ class TestBatchCacheInterplay:
         shapes = [(10, 10, 10), (20, 20, 20), (10, 10, 10), (20, 20, 20)]
         predictor.predict_threads_batch(shapes)
         assert predictor.n_evaluations == 2
-        assert predictor.n_batch_evaluations == 1
+        assert predictor.n_model_passes == 1
 
     def test_batch_populates_cache_for_scalar_calls(self, predictor):
         predictor.predict_threads_batch([(10, 10, 10)])
@@ -137,7 +137,7 @@ class TestBatchCacheInterplay:
         evals = predictor.n_evaluations
         predictor.predict_threads_batch(shapes)
         assert predictor.n_evaluations == evals
-        assert predictor.n_batch_evaluations == 1
+        assert predictor.n_model_passes == 1
 
     def test_empty_batch(self, predictor):
         assert predictor.predict_threads_batch([]).size == 0

@@ -67,7 +67,7 @@ class TestRefineHook:
         for _ in range(40):
             service.run_batch(specs)
         # Still exactly one vectorised pass for the two unique shapes.
-        assert predictor.n_batch_evaluations == 1
+        assert predictor.n_model_passes == 1
         assert predictor.n_evaluations == 2
         # Measured feedback accumulated for every call.
         assert service.refiner._state_for(32, 512, 32).calls == 80

@@ -68,7 +68,7 @@ class TestBatchServing:
                  GemmSpec(32, 32, 32), GemmSpec(64, 64, 64)]
         service.run_batch(specs)
         assert service.predictor.n_evaluations == 2
-        assert service.predictor.n_batch_evaluations == 1
+        assert service.predictor.n_model_passes == 1
 
     def test_memoised_flags(self, service):
         service.run(GemmSpec(32, 32, 32))

@@ -4,7 +4,8 @@ import pickle
 
 import pytest
 
-from repro.fleet import WorkerSpec, chunk_slots, resolve_factory
+from repro.fleet import WorkerSpec, resolve_factory, transport
+from repro.serve import front
 
 
 class TestWorkerSpec:
@@ -64,50 +65,7 @@ class TestResolveFactory:
 
 
 class TestChunkSlots:
-    def test_chunks_preserve_order_and_cover(self):
-        slots = list(range(10))
-        chunks = list(chunk_slots(slots, 4))
-        assert chunks == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]
-
-    def test_single_chunk_when_small(self):
-        assert list(chunk_slots([1, 2], 16)) == [[1, 2]]
-        assert list(chunk_slots([], 16)) == []
-
-    def test_max_batch_one_yields_singletons(self):
-        assert list(chunk_slots([3, 1, 2], 1)) == [[3], [1], [2]]
-
-    def test_rejects_bad_max_batch(self):
-        with pytest.raises(ValueError):
-            list(chunk_slots([1], 0))
-
-
-class TestChunkSlotsByCost:
-    def test_no_budget_matches_count_chunking(self):
-        slots = list(range(10))
-        assert list(chunk_slots(slots, 4, [1.0] * 10, None)) \
-            == list(chunk_slots(slots, 4))
-
-    def test_budget_splits_before_overflow(self):
-        chunks = list(chunk_slots([7, 8, 9], 16, [5.0, 5.0, 5.0], 10.0))
-        assert chunks == [[7, 8], [9]]
-
-    def test_oversized_slot_frames_alone(self):
-        assert list(chunk_slots([0, 1], 16, [99.0, 1.0], 10.0)) \
-            == [[0], [1]]
-
-    def test_empty_and_singleton_edges(self):
-        assert list(chunk_slots([], 4, [], 10.0)) == []
-        assert list(chunk_slots([5, 6], 1, [1.0, 1.0], 10.0)) \
-            == [[5], [6]]
-
-    def test_ragged_tail_covers_in_order(self):
-        slots = list(range(7))
-        costs = [2.0] * 7
-        chunks = list(chunk_slots(slots, 3, costs, 100.0))
-        assert chunks == [[0, 1, 2], [3, 4, 5], [6]]
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            list(chunk_slots([1], 0, [1.0], None))
-        with pytest.raises(ValueError):
-            list(chunk_slots([1], 4, [1.0], -1.0))
+    def test_fleet_frames_with_the_serve_chunker(self):
+        """One slab chunker serves both fronts; its cases are tested once,
+        in tests/serve/test_cost.py."""
+        assert transport.chunk_slots is front.chunk_slots

@@ -69,6 +69,17 @@ class TestReservoir:
         assert r.summary() == {"count": 0, "sum": 0.0,
                                "min": None, "max": None}
 
+    def test_merge_keeps_exact_aggregates(self):
+        a, b = Reservoir(capacity=4), Reservoir(capacity=4)
+        a.extend([5.0, 1.0])
+        b.extend(range(10, 20))
+        merged = Reservoir.merge([a, Reservoir(), b])
+        assert list(merged) == [5.0, 1.0] + list(b)
+        assert merged.count == 12
+        assert merged.total == 6.0 + sum(range(10, 20))
+        assert (merged.minimum, merged.maximum) == (1.0, 19.0)
+        assert Reservoir.merge([]).count == 0
+
     def test_capacity_validation(self):
         with pytest.raises(ValueError, match="capacity"):
             Reservoir(capacity=0)

@@ -12,8 +12,9 @@ import pytest
 from repro.blas.gemv import GemvSpec
 from repro.gemm.counts import gemm_flops
 from repro.gemm.interface import GemmSpec
-from repro.serve import (BatchPolicy, CostAwareLeastLoadedRouter, CostModel,
+from repro.serve import (BatchPolicy, CostAwareLeastLoadedRouter,
                          GemmServer, LeastLoadedRouter, chunk_slots)
+from repro.serve.cost import cost_of, cost_of_one
 
 HEAVY = GemmSpec(256, 256, 256)   # ~33.6 MFLOP
 LIGHT = GemmSpec(8, 8, 8)         # ~1.2 kFLOP
@@ -21,63 +22,47 @@ LIGHT = GemmSpec(8, 8, 8)         # ~1.2 kFLOP
 
 class TestCostModel:
     def test_gemm_priced_at_its_flops(self):
-        assert CostModel().cost_of_one(HEAVY) == float(HEAVY.flops)
+        assert cost_of_one(HEAVY) == float(HEAVY.flops)
         assert HEAVY.flops == gemm_flops(256, 256, 256)
 
     def test_gemv_priced_at_its_flops(self):
         spec = GemvSpec(64, 64)
-        assert CostModel().cost_of_one(spec) == float(spec.flops)
+        assert cost_of_one(spec) == float(spec.flops)
 
     def test_bare_triple_is_a_gemm(self):
-        assert CostModel().cost_of_one((32, 64, 48)) == \
-            float(gemm_flops(32, 64, 48))
+        assert cost_of_one((32, 64, 48)) == float(gemm_flops(32, 64, 48))
 
     def test_unpriceable_object_costs_default(self):
-        assert CostModel().cost_of_one(object()) == 1.0
-        assert CostModel(default_cost=7.0).cost_of_one(object()) == 7.0
-
-    def test_per_routine_scale_calibration(self):
-        model = CostModel(scales={"gemv": 4.0})
-        spec = GemvSpec(64, 64)
-        assert model.cost_of_one(spec) == 4.0 * spec.flops
-        assert model.cost_of_one(HEAVY) == float(HEAVY.flops)  # unscaled
-
-    def test_calibrate_chains_and_validates(self):
-        model = CostModel().calibrate("gemm", 2.0)
-        assert model.cost_of_one(LIGHT) == 2.0 * LIGHT.flops
-        with pytest.raises(ValueError):
-            model.calibrate("gemm", 0.0)
-        with pytest.raises(ValueError):
-            CostModel(default_cost=0.0)
+        assert cost_of_one(object()) == 1.0
 
     def test_cost_of_matches_scalar_pricing(self):
-        model = CostModel()
         specs = [HEAVY, LIGHT, HEAVY, GemvSpec(32, 32), LIGHT]
-        assert model.cost_of(specs) == \
-            [model.cost_of_one(s) for s in specs]
-        assert model.total_cost(specs) == sum(model.cost_of(specs))
+        assert cost_of(specs) == [cost_of_one(s) for s in specs]
+
+
+# name -> (slots, max_batch, costs, max_cost, expected runs)
+CHUNK_CASES = {
+    "empty_slots_yield_nothing": ([], 4, [], 100.0, []),
+    "max_batch_one_yields_singletons": (
+        [0, 1, 2], 1, [1.0, 1.0, 1.0], None, [[0], [1], [2]]),
+    "count_only_boundaries_match_slicing": (
+        list(range(10)), 4, [1.0] * 10, None,
+        [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]),
+    "small_input_in_one_chunk": ([1, 2], 16, None, None, [[1, 2]]),
+    "budget_splits_before_overflow": (
+        [0, 1, 2], 16, [5.0, 5.0, 5.0], 10.0, [[0, 1], [2]]),
+    "oversized_slot_frames_alone": (
+        [0, 1], 16, [100.0, 1.0], 10.0, [[0], [1]]),
+    "ragged_tail_under_budget": (
+        list(range(7)), 3, [2.0] * 7, 100.0, [[0, 1, 2], [3, 4, 5], [6]]),
+}
 
 
 class TestChunkByCost:
-    def test_empty_slots_yield_nothing(self):
-        assert list(chunk_slots([], 4, [], 100.0)) == []
-
-    def test_max_batch_one_yields_singletons(self):
-        chunks = list(chunk_slots([0, 1, 2], 1, [1.0, 1.0, 1.0], None))
-        assert chunks == [[0], [1], [2]]
-
-    def test_count_only_boundaries_match_slicing(self):
-        slots = list(range(10))
-        chunks = list(chunk_slots(slots, 4, [1.0] * 10, None))
-        assert chunks == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]  # ragged tail
-
-    def test_budget_splits_before_overflow(self):
-        chunks = list(chunk_slots([0, 1, 2], 16, [5.0, 5.0, 5.0], 10.0))
-        assert chunks == [[0, 1], [2]]
-
-    def test_oversized_slot_frames_alone(self):
-        chunks = list(chunk_slots([0, 1], 16, [100.0, 1.0], 10.0))
-        assert chunks == [[0], [1]]
+    @pytest.mark.parametrize("slots, max_batch, costs, max_cost, expected",
+                             list(CHUNK_CASES.values()), ids=list(CHUNK_CASES))
+    def test_chunks(self, slots, max_batch, costs, max_cost, expected):
+        assert list(chunk_slots(slots, max_batch, costs, max_cost)) == expected
 
     def test_every_slot_appears_once_in_order(self):
         slots = list(range(13))
@@ -175,7 +160,7 @@ class TestCostBudgetedServing:
         # Per-batch predicted-cost histogram is recorded under a budget.
         assert stats["batch_cost"]["count"] == stats["batches"]
         # No executed batch mixes the heavy with a light.
-        assert max(server.telemetry.batch_sizes) <= 3
+        assert max(stats["batch_size_histogram"]) <= 3
 
     def test_count_only_serving_records_no_cost(self, make_service):
         specs = [LIGHT] * 4
@@ -191,20 +176,3 @@ class TestCostBudgetedServing:
         entry = server.stats()["routines"]["gemm"]
         assert entry["queue_wait_ms"]["n"] == 4
         assert server.telemetry.routine_wait("gemm").n == 4
-
-    def test_server_cost_of_exposes_model_pricing(self, make_service):
-        server = GemmServer(make_service())
-        specs = [HEAVY, LIGHT, GemvSpec(64, 64)]
-        assert server.cost_of(specs) == CostModel().cost_of(specs)
-
-    def test_custom_cost_model_prices_batching(self, make_service):
-        """A calibrated scale changes budgets, not selections."""
-        scaled = CostModel(scales={"gemm": 2.0})
-        specs = [LIGHT] * 8
-        server, records = self._replay(make_service, specs,
-                                       max_batch_cost=self.BUDGET,
-                                       cost_model=scaled)
-        # 2x scale halves how many lights fit: 1.75x budget -> 1 per
-        # batch after the first admitted entry.
-        assert len(records) == len(specs)
-        assert max(server.telemetry.batch_sizes) <= 2

@@ -223,7 +223,7 @@ class TestDriftMonitors:
         event = fired[0]
         assert event.monitor == "table_fallback_rate"
         assert event.value > 0.2
-        assert server.telemetry.table_fallbacks == 2 * len(OFF_LATTICE)
+        assert server.stats()["table_fallbacks"] == 2 * len(OFF_LATTICE)
 
         # The firing is recorded everywhere an operator looks.
         drift_events = registry.events("drift")
@@ -247,4 +247,4 @@ class TestDriftMonitors:
         server = run(scenario())
         assert monitor.fired is None
         assert monitor.last_value == 0.0
-        assert server.telemetry.table_hits == len(LATTICE)
+        assert server.stats()["table_hits"] == len(LATTICE)

@@ -62,8 +62,8 @@ class TestBatchFormation:
                 await server.submit_many(distinct_specs[:10])
 
         asyncio.run(run())
-        sizes = server.telemetry.batch_sizes
-        assert sum(sizes) == 10
+        sizes = server.telemetry.batch_size_histogram()
+        assert sum(size * n for size, n in sizes.items()) == 10
         assert max(sizes) <= 4
         assert 4 in sizes  # a concurrent burst actually filled a batch
 

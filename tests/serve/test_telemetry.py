@@ -5,6 +5,7 @@ import asyncio
 import pytest
 
 from repro.bench.stats import LatencySummary
+from repro.obs.metrics import Reservoir
 from repro.serve import GemmServer, ServeTelemetry, poisson_trace, replay_trace
 
 
@@ -14,8 +15,8 @@ class TestServeTelemetryUnit:
         t.record_admission("a", queue_depth=0)
         t.record_admission("a", queue_depth=1)
         t.record_admission("b", queue_depth=2)
-        t.record_batch("default", 2)
-        t.record_batch("default", 1)
+        t.record_batch(2)
+        t.record_batch(1)
         t.record_done("a", latency=0.004, wait=0.001)
         t.record_done("a", latency=0.002, wait=0.001)
         t.record_done("b", latency=0.010, wait=0.005)
@@ -67,6 +68,29 @@ class TestServeTelemetryUnit:
             t.record_rejection("a", "overload", routine="gemm")
         assert len(built) == first
         assert t.stats()["routines"]["gemm"]["served"] == 5
+
+    def test_admission_and_batch_sizes_keep_no_samples(self, monkeypatch):
+        """Queue depth is a running maximum and batch sizes an exact
+        histogram; only a cost-budgeted batch feeds a reservoir."""
+        appended = []
+        append = Reservoir.append
+
+        def counting(self, value):
+            appended.append(value)
+            append(self, value)
+
+        monkeypatch.setattr(Reservoir, "append", counting)
+        t = ServeTelemetry()
+        t.record_admission("a", queue_depth=3, routine="gemm", n=4)
+        t.record_admission("a", queue_depth=1, routine="gemm")
+        assert appended == []
+        t.record_batch(5)
+        assert appended == []
+        t.record_batch(2, cost=8.0)
+        assert appended == [8.0]
+        stats = t.stats()
+        assert stats["max_queue_depth"] == 3
+        assert (stats["batches"], stats["mean_batch_size"]) == (2, 3.5)
 
 
 class TestServerTelemetryEndToEnd:
