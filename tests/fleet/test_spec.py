@@ -4,8 +4,9 @@ import pickle
 
 import pytest
 
-from repro.fleet import WorkerSpec, resolve_factory, transport
+from repro.fleet import WorkerSpec, chunk_slots, resolve_factory, transport
 from repro.serve import front
+from tests.serve.test_cost import check_chunk_cases
 
 
 class TestWorkerSpec:
@@ -65,7 +66,44 @@ class TestResolveFactory:
 
 
 class TestChunkSlots:
+    """The fleet frames slabs with the serve chunker.  Its cases live once,
+    in tests/serve/test_cost.py; these run them through the fleet's import."""
+
     def test_fleet_frames_with_the_serve_chunker(self):
-        """One slab chunker serves both fronts; its cases are tested once,
-        in tests/serve/test_cost.py."""
         assert transport.chunk_slots is front.chunk_slots
+
+    def test_chunks_preserve_order_and_cover(self):
+        check_chunk_cases(chunk_slots, "count_only_boundaries_match_slicing")
+
+    def test_single_chunk_when_small(self):
+        check_chunk_cases(chunk_slots, "small_input_in_one_chunk",
+                          "empty_count_only")
+
+    def test_max_batch_one_yields_singletons(self):
+        check_chunk_cases(chunk_slots, "max_batch_one_yields_singletons")
+
+    def test_rejects_bad_max_batch(self):
+        check_chunk_cases(chunk_slots, "zero_max_batch_rejected")
+
+
+class TestChunkSlotsByCost:
+    def test_no_budget_matches_count_chunking(self):
+        check_chunk_cases(chunk_slots, "count_only_ignores_costs",
+                          "count_only_boundaries_match_slicing")
+
+    def test_budget_splits_before_overflow(self):
+        check_chunk_cases(chunk_slots, "budget_splits_before_overflow")
+
+    def test_oversized_slot_frames_alone(self):
+        check_chunk_cases(chunk_slots, "oversized_slot_frames_alone")
+
+    def test_empty_and_singleton_edges(self):
+        check_chunk_cases(chunk_slots, "empty_under_budget",
+                          "max_batch_one_under_budget")
+
+    def test_ragged_tail_covers_in_order(self):
+        check_chunk_cases(chunk_slots, "ragged_tail_under_budget")
+
+    def test_validation(self):
+        check_chunk_cases(chunk_slots, "zero_max_batch_rejected",
+                          "negative_budget_rejected")

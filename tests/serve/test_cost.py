@@ -40,29 +40,70 @@ class TestCostModel:
         assert cost_of(specs) == [cost_of_one(s) for s in specs]
 
 
-# name -> (slots, max_batch, costs, max_cost, expected runs)
+# The one copy of the chunk_slots cases; tests/fleet/test_spec.py runs
+# them through the fleet's import of the same function.
+# name -> (slots, max_batch, costs, max_cost, expected runs or error)
 CHUNK_CASES = {
-    "empty_slots_yield_nothing": ([], 4, [], 100.0, []),
-    "max_batch_one_yields_singletons": (
-        [0, 1, 2], 1, [1.0, 1.0, 1.0], None, [[0], [1], [2]]),
+    "empty_count_only": ([], 16, None, None, []),
+    "empty_under_budget": ([], 4, [], 100.0, []),
+    "small_input_in_one_chunk": ([1, 2], 16, None, None, [[1, 2]]),
     "count_only_boundaries_match_slicing": (
+        list(range(10)), 4, None, None,
+        [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]),
+    "count_only_ignores_costs": (
         list(range(10)), 4, [1.0] * 10, None,
         [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]),
-    "small_input_in_one_chunk": ([1, 2], 16, None, None, [[1, 2]]),
+    "max_batch_one_yields_singletons": (
+        [3, 1, 2], 1, None, None, [[3], [1], [2]]),
+    "max_batch_one_under_budget": ([5, 6], 1, [1.0, 1.0], 10.0, [[5], [6]]),
     "budget_splits_before_overflow": (
-        [0, 1, 2], 16, [5.0, 5.0, 5.0], 10.0, [[0, 1], [2]]),
+        [7, 8, 9], 16, [5.0, 5.0, 5.0], 10.0, [[7, 8], [9]]),
     "oversized_slot_frames_alone": (
         [0, 1], 16, [100.0, 1.0], 10.0, [[0], [1]]),
     "ragged_tail_under_budget": (
         list(range(7)), 3, [2.0] * 7, 100.0, [[0, 1, 2], [3, 4, 5], [6]]),
+    "zero_max_batch_rejected": ([1], 0, None, None, ValueError),
+    "zero_budget_rejected": ([0], 4, [1.0], 0.0, ValueError),
+    "negative_budget_rejected": ([1], 4, [1.0], -1.0, ValueError),
 }
 
 
+def check_chunk_cases(chunker, *names):
+    """Run the named ``CHUNK_CASES`` through ``chunker``."""
+    for name in names:
+        slots, max_batch, costs, max_cost, expected = CHUNK_CASES[name]
+        if expected is ValueError:
+            with pytest.raises(ValueError):
+                list(chunker(slots, max_batch, costs, max_cost))
+        else:
+            assert list(chunker(slots, max_batch, costs, max_cost)) \
+                == expected, name
+
+
 class TestChunkByCost:
-    @pytest.mark.parametrize("slots, max_batch, costs, max_cost, expected",
-                             list(CHUNK_CASES.values()), ids=list(CHUNK_CASES))
-    def test_chunks(self, slots, max_batch, costs, max_cost, expected):
-        assert list(chunk_slots(slots, max_batch, costs, max_cost)) == expected
+    def test_empty_slots_yield_nothing(self):
+        check_chunk_cases(chunk_slots, "empty_count_only",
+                          "empty_under_budget")
+
+    def test_small_input_in_one_chunk(self):
+        check_chunk_cases(chunk_slots, "small_input_in_one_chunk")
+
+    def test_count_only_boundaries_match_slicing(self):
+        check_chunk_cases(chunk_slots, "count_only_boundaries_match_slicing",
+                          "count_only_ignores_costs")
+
+    def test_max_batch_one_yields_singletons(self):
+        check_chunk_cases(chunk_slots, "max_batch_one_yields_singletons",
+                          "max_batch_one_under_budget")
+
+    def test_budget_splits_before_overflow(self):
+        check_chunk_cases(chunk_slots, "budget_splits_before_overflow")
+
+    def test_oversized_slot_frames_alone(self):
+        check_chunk_cases(chunk_slots, "oversized_slot_frames_alone")
+
+    def test_ragged_tail_under_budget(self):
+        check_chunk_cases(chunk_slots, "ragged_tail_under_budget")
 
     def test_every_slot_appears_once_in_order(self):
         slots = list(range(13))
@@ -75,10 +116,8 @@ class TestChunkByCost:
                    for chunk in chunks if len(chunk) > 1)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            list(chunk_slots([0], 0, [1.0], None))
-        with pytest.raises(ValueError):
-            list(chunk_slots([0], 4, [1.0], 0.0))
+        check_chunk_cases(chunk_slots, "zero_max_batch_rejected",
+                          "zero_budget_rejected", "negative_budget_rejected")
 
 
 class TestBatchPolicyCost:
