@@ -84,7 +84,7 @@ def test_compiled_forest_latency(save_result, save_bench_json):
     t_comp = _best_pass_seconds(comp, shapes, REPEATS)
     speedup = t_obj / t_comp
 
-    plan = bundle.plan.describe()
+    plan = comp.plan.describe()
     rows = [
         {"path": "object", "per_shape_us":
             round(t_obj / len(shapes) * 1e6, 2),

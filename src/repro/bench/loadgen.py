@@ -120,12 +120,12 @@ def bias_bundle(bundle, target: int = 1):
     """A publishable variant of ``bundle`` selecting threads near ``target``.
 
     Swaps the model for a :class:`ThreadBiasModel`, drops the pipeline
-    (the bias model reads raw features) and discards compiled
-    artefacts so the plan re-lowers against the new model.  The config
-    and report are shared with the source bundle — version provenance
-    in the registry stays meaningful.
+    (the bias model reads raw features) and the decision table (built
+    for the old model).  The config and report are shared with the
+    source bundle — version provenance in the registry stays
+    meaningful.
     """
     from dataclasses import replace
 
     return replace(bundle, model=ThreadBiasModel(target=target),
-                   pipeline=None, plan=None, table=None)
+                   pipeline=None, table=None)

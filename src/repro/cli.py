@@ -8,7 +8,6 @@ Mirrors how a deployed ADSALA would be driven::
                             --routine gemm --routine gemv --out ./registry
     python -m repro models  --registry ./registry
     python -m repro models  --registry ./registry --inspect gemv/gadi@1
-    python -m repro models  --registry ./registry --compile gemv/gadi@1
     python -m repro models  --registry ./registry --compile-table gemv/gadi@1
     python -m repro predict --install ./install 64 2048 64
     python -m repro batch   --install ./install --machine gadi shapes.txt
@@ -33,12 +32,13 @@ keeps a stage cache under the output directory so an interrupted
 installation re-executes only unfinished stages, ``--routine`` trains
 for a non-GEMM BLAS routine, and ``--matrix`` trains every (routine,
 machine) cell and publishes versioned bundles into a model registry.
-``models`` lists, inspects or compiles registry entries (``--compile``
-(re)builds a bundle's compiled inference plan and publishes it as a new
-version — published bundles stay immutable — ``--compile-table``
-pre-evaluates the plan over the campaign shape lattice into a tier-0
-decision table, and ``--inspect`` shows plan presence, packed-array
-sizes and decision-table coverage); ``predict`` loads
+``models`` lists, inspects or retrofits registry entries
+(``--compile-table`` pre-evaluates a bundle's compiled plan over the
+campaign shape lattice into a tier-0 decision table and publishes it as
+a new version — published bundles stay immutable — and ``--inspect``
+shows the bundle's schema, model, decision-table coverage and selection
+report; compiled plans are lowered whenever a serving predictor is
+built, so there is nothing to compile ahead); ``predict`` loads
 artefacts and reports the thread choice for a shape; ``batch`` serves a
 whole shape file through the engine's
 :class:`~repro.engine.service.GemmService` (deduplicated, vectorised
@@ -175,29 +175,6 @@ def _parse_model_ref(ref: str):
     return routine, rest, version
 
 
-def _print_plan_meta(plan_meta: dict) -> None:
-    """Render compiled-plan metadata (kind, node/array sizes)."""
-    print(f"  plan:     pipeline={plan_meta.get('pipeline')} "
-          f"model={plan_meta.get('model')}"
-          f"{'' if plan_meta.get('fully_lowered') else '  (partial)'}")
-    arrays = plan_meta.get("model_arrays") or {}
-    if "n_trees" in arrays:
-        print(f"            {arrays['n_trees']} trees, "
-              f"{arrays['n_nodes']} packed nodes, "
-              f"depth <= {arrays['max_depth']}, "
-              f"{arrays['nbytes']} bytes")
-    elif arrays:
-        print(f"            {arrays.get('n_features')} coefficients, "
-              f"{arrays.get('nbytes')} bytes")
-    transform = plan_meta.get("transform")
-    if transform:
-        print(f"            fused transform: "
-              f"{transform['n_features_in']} -> "
-              f"{transform['n_features_out']} features, "
-              f"yeo_johnson={transform['yeo_johnson']}, "
-              f"{transform['nbytes']} bytes")
-
-
 def _print_table_meta(table_meta: dict) -> None:
     """Render decision-table metadata (lattice, memory, coverage)."""
     shape = "x".join(str(s) for s in table_meta.get("lattice_shape", []))
@@ -278,25 +255,6 @@ def cmd_models(args) -> int:
             print(f"  checksum: {info['checksum']}")
             _print_table_meta(info["table"])
             return 0
-        if args.compile:
-            routine, machine, version = _parse_model_ref(args.compile)
-            info = registry.compile_plan(routine, machine, version)
-            if info["plan"] is None:
-                print(f"{routine}/{machine}@{info['version']}: nothing "
-                      f"lowerable (model and pipeline keep the object "
-                      f"path); no new version published")
-                return 0
-            if info.get("up_to_date"):
-                print(f"{routine}/{machine}@{info['version']}: compiled "
-                      f"plan already up to date; no new version published")
-                _print_plan_meta(info["plan"])
-                return 0
-            print(f"compiled plan for {routine}/{machine}"
-                  f"@{info['compiled_from_version']} published as "
-                  f"version {info['version']}")
-            print(f"  checksum: {info['checksum']}")
-            _print_plan_meta(info["plan"])
-            return 0
         if args.inspect:
             routine, machine, version = _parse_model_ref(args.inspect)
             info = registry.inspect(routine, machine, version)
@@ -304,15 +262,9 @@ def cmd_models(args) -> int:
                   f"{'  (latest)' if info['latest'] else ''}")
             print(f"  path:     {info['path']}")
             print(f"  checksum: {info['checksum']}")
-            manifest = info["manifest"] or {}
+            manifest = info["manifest"]
             print(f"  schema:   {manifest.get('schema_version')}")
             print(f"  model:    {manifest.get('model_name')}")
-            plan_meta = manifest.get("plan")
-            if info["has_plan"] and plan_meta:
-                _print_plan_meta(plan_meta)
-            else:
-                print("  plan:     none (build with --compile "
-                      f"{routine}/{machine}@{info['version']})")
             table_meta = manifest.get("table")
             if info["has_table"] and table_meta:
                 _print_table_meta(table_meta)
@@ -334,7 +286,6 @@ def cmd_models(args) -> int:
     rows = [{"routine": e.routine, "machine": e.machine,
              "version": e.version, "model": e.model_name,
              "checksum": e.checksum[:12],
-             "plan": "*" if registry.has_plan(e) else "",
              "table": "*" if registry.has_table(e) else "",
              "latest": "*" if e.latest else ""} for e in entries]
     print(format_table(rows, title=f"registry {args.registry}"))
@@ -343,7 +294,7 @@ def cmd_models(args) -> int:
 
 def cmd_predict(args) -> int:
     bundle = load_bundle(args.install)
-    predictor = bundle.predictor()
+    predictor = bundle.predictor(compiled=True)
     p = predictor.predict_threads(args.m, args.k, args.n)
     spec = GemmSpec(args.m, args.k, args.n)
     print(f"GEMM {spec.dims} ({spec.memory_mb:.1f} MB): "
@@ -706,6 +657,11 @@ def cmd_serve(args) -> int:
                                                      {}).get("cost", 0)
         routine_rows.append(row)
     if len(routine_rows) > 1:
+        # Table keys appear only for routines a table answered for, so
+        # the rows share the union of their keys, blank where absent.
+        keys = list(dict.fromkeys(k for row in routine_rows for k in row))
+        routine_rows = [{k: row.get(k, "") for k in keys}
+                        for row in routine_rows]
         print()
         print(format_table(routine_rows, title="per-routine traffic"))
     if args.cost_budget is not None:
@@ -937,19 +893,14 @@ def build_parser() -> argparse.ArgumentParser:
                         "with --matrix)")
     p.set_defaults(func=cmd_install)
 
-    p = sub.add_parser("models", help="list, inspect or compile registry "
+    p = sub.add_parser("models", help="list, inspect or retrofit registry "
                                       "entries")
     p.add_argument("--registry", required=True, help="registry root directory")
     action = p.add_mutually_exclusive_group()
     action.add_argument("--inspect", default=None,
                         metavar="ROUTINE/MACHINE[@V]",
-                        help="show one entry's manifest, compiled-plan "
-                             "sizes, decision-table coverage and "
-                             "selection report")
-    action.add_argument("--compile", default=None,
-                        metavar="ROUTINE/MACHINE[@V]",
-                        help="(re)build one entry's compiled inference "
-                             "plan, published as a new version")
+                        help="show one entry's manifest, decision-table "
+                             "coverage and selection report")
     action.add_argument("--compile-table", dest="compile_table", default=None,
                         metavar="ROUTINE/MACHINE[@V]",
                         help="pre-evaluate one entry's compiled plan over "

@@ -1,13 +1,15 @@
-"""Compiled inference plans: pipeline + model lowered at bundle build time.
+"""Compiled inference plans: pipeline + model lowered for serving.
 
 A :class:`CompiledPlan` is the array-only form of a fitted installation:
 the preprocessing pipeline folded into one
 :class:`~repro.compile.transform.FusedTransform` pass and the model
-lowered to a flat evaluator (packed trees / affine).  It is built once —
-at bundle save time, on registry publish, or lazily when a pre-plan
-bundle is first served — and the runtime
+lowered to a flat evaluator (packed trees / affine).  It is lowered
+once per serving predictor, when the predictor is built
+(``TrainedBundle.predictor(compiled=True)``), and the runtime
 :class:`~repro.core.predictor.ThreadPredictor` evaluates through it
-instead of walking Python stage and tree objects.
+instead of walking Python stage and tree objects.  Plans are never
+stored: lowering is pure array packing, and it costs less than
+unpickling and checksumming a stored copy would.
 
 Plans are **partial by design**: whichever of the two halves cannot be
 lowered (an exotic pipeline stage, a kNN model) stays ``None`` and the
@@ -16,9 +18,7 @@ Everything that *is* lowered is bitwise identical to the object path, so
 swapping a plan in or out can never change a thread choice.
 
 The plan holds only numpy arrays and scalars — no references to the
-pipeline or model objects — so it pickles small and deterministically,
-which is what lets the bundle checksum cover it
-(:mod:`repro.core.serialize` persists plans as ``adsala_plan.pkl``).
+pipeline or model objects.
 """
 
 from __future__ import annotations
@@ -51,16 +51,11 @@ class CompiledPlan:
         self.model = model
 
     @property
-    def lowers_anything(self) -> bool:
-        """Whether this plan accelerates at least one half."""
-        return self.transform is not None or self.model is not None
-
-    @property
     def fully_lowered(self) -> bool:
         return not self.transform_fallback and self.model is not None
 
     def describe(self) -> dict:
-        """JSON-able summary for manifests and ``models inspect``."""
+        """JSON-able summary of what was lowered (kinds and array sizes)."""
         info = {
             "fully_lowered": self.fully_lowered,
             "pipeline": ("fused" if self.transform is not None

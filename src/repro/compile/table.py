@@ -241,19 +241,9 @@ class DecisionTable:
         # serves.
         return {name: getattr(self, name) for name in self._STATE}
 
-    def __setstate__(self, state) -> None:
-        if isinstance(state, tuple):  # default slots reduce: (dict, slots)
-            merged = {}
-            for part in state:
-                if part:
-                    merged.update(part)
-            state = merged
+    def __setstate__(self, state: dict) -> None:
         for name in self._STATE:
-            if name in state:
-                setattr(self, name, state[name])
-        if "cell_ok" not in state:  # tables pickled before plateau mode
-            self.cell_ok = (_corner_agreement(self.grid_index)
-                            if self.snap == "plateau" else None)
+            setattr(self, name, state[name])
         self._derive()
 
     # -- geometry --------------------------------------------------------

@@ -51,13 +51,6 @@ class PackedTrees:
                  "_feature2", "_threshold2", "_child2", "_live2",
                  "_compact")
 
-    #: The slots that are the ensemble's identity, in pickle order.  The
-    #: underscored slots are the walk's layout and plan, rebuilt by
-    #: :meth:`_derive` and never pickled, so serving leaves a plan's
-    #: pickle unchanged.
-    _STATE = ("feature", "threshold", "left", "right", "value", "roots",
-              "is_leaf", "max_depth", "n_trees", "n_nodes")
-
     def __init__(self, feature, threshold, left, right, value, roots,
                  max_depth: int):
         self.feature = np.asarray(feature, dtype=np.int64)
@@ -110,17 +103,6 @@ class PackedTrees:
             compact = 2 * live <= kept and level + 1 < self.max_depth
             self._compact.append(compact)
             kept = live if compact else kept
-
-    def __getstate__(self):
-        # The default slots state, (None, {slot: value}), restricted to
-        # the identity slots: plans pickle as they did before the walk
-        # layout existed.
-        return None, {name: getattr(self, name) for name in self._STATE}
-
-    def __setstate__(self, state) -> None:
-        for name, value in state[1].items():
-            setattr(self, name, value)
-        self._derive()
 
     @classmethod
     def from_hist_trees(cls, trees) -> "PackedTrees":

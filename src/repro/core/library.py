@@ -70,7 +70,7 @@ class AdsalaRuntime:
         self.bundle = bundle
         self.machine = machine
         self.repeats = repeats
-        routine = getattr(bundle.config, "routine", "gemm")
+        routine = bundle.config.routine
         grid = bundle.config.thread_grid
         self.service = GemmService(
             bundle.predictor(cache_size=cache_size, compiled=True),
@@ -123,7 +123,7 @@ class AdsalaRuntime:
         Returns self for chaining.
         """
         self._ensure_open()
-        routine = routine or getattr(bundle.config, "routine", "gemm")
+        routine = routine or bundle.config.routine
         self.service.register_routine(routine, bundle=bundle,
                                       backend=backend,
                                       cache_size=self._cache_size)

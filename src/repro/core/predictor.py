@@ -17,10 +17,11 @@ Two serving-oriented generalisations sit on top of the paper's design:
   pipeline/model pass over a ``(n_shapes * |grid|)``-row feature
   matrix, which amortises the per-call Python overhead that dominates
   single-shape prediction;
-* a :class:`~repro.compile.plan.CompiledPlan` (built at bundle save
-  time, or via :meth:`ThreadPredictor.compile`) replaces the object
-  pipeline/model walk with fused array kernels — bitwise-identical
-  scores, so thread choices cannot change, only their cost.
+* a :class:`~repro.compile.plan.CompiledPlan` (lowered by
+  :meth:`ThreadPredictor.compile` when a serving predictor is built)
+  replaces the object pipeline/model walk with fused array kernels —
+  bitwise-identical scores, so thread choices cannot change, only
+  their cost.
 """
 
 from __future__ import annotations
@@ -95,7 +96,8 @@ class ThreadPredictor:
         An optional :class:`~repro.compile.plan.CompiledPlan` for the
         same artefacts; when present, evaluation routes through its
         fused kernels (falling back per half where the plan records a
-        fallback).  :meth:`compile` builds one in place.
+        fallback).  :meth:`compile` lowers one in place; without one,
+        evaluation walks the pipeline and model objects.
     table:
         An optional :class:`~repro.compile.table.DecisionTable` built
         from the same artefacts — tier 0 of the prediction hierarchy.

@@ -6,33 +6,29 @@ A trained bundle is the pair the paper's Fig. 2 outputs: the config
 is the appropriate tool for same-trust-domain persistence, exactly as
 scikit-learn recommends for its own estimators).
 
-Since the model registry arrived, every bundle directory also carries a
-``MANIFEST.json`` recording the serialization **schema version** and a
-**SHA-256 checksum per artefact file**, so a corrupted, truncated or
-tampered pickle fails loudly at load time (:class:`BundleIntegrityError`
-with a clear message, never a bare pickle traceback) and a bundle
-written by an incompatible future schema is refused
-(:class:`BundleSchemaError`).  Pre-manifest directories — everything
-installed before the registry existed — still load through the legacy
-path unchanged.
+Every bundle directory also carries a ``MANIFEST.json`` recording the
+serialization **schema version** and a **SHA-256 checksum per artefact
+file**, so a corrupted, truncated or tampered pickle fails loudly at
+load time (:class:`BundleIntegrityError` with a clear message, never a
+bare pickle traceback).  This build reads schema 4 only: a directory
+written under any other schema, or with no manifest at all, is refused
+with a :class:`BundleSchemaError` that says to re-install or
+re-publish the model.
 
-Schema 2 adds an optional third artefact, ``adsala_plan.pkl``: the
-bundle's :class:`~repro.compile.plan.CompiledPlan` (fused transform +
-packed model arrays), built at save time and checksummed like the other
-files.  Schema-1 (pre-plan) bundles still load — they simply carry no
-plan and the serving layers compile one lazily.
+One artefact is optional: ``adsala_table.pkl``, the bundle's
+:class:`~repro.compile.table.DecisionTable` (the model pre-evaluated
+over the campaign's shape lattice).  Tables are opt-in —
+:func:`save_bundle` persists one only when the bundle already carries
+it (built via ``TrainedBundle.compile_table`` or the registry's
+``compile_table`` retrofit).  A table's manifest entry is its
+``describe()`` summary, which for traffic-refined tables (the
+registry's ``refine_table`` retrofit) carries the refinement
+provenance: ``source="refined"``, the ``generation`` counter and the
+version the lattice was densified from.
 
-Schema 3 adds a fourth optional artefact, ``adsala_table.pkl``: the
-bundle's :class:`~repro.compile.table.DecisionTable` (the plan
-pre-evaluated over the campaign's shape lattice).  Tables are strictly
-opt-in — :func:`save_bundle` persists one only when the bundle already
-carries it (built via ``TrainedBundle.compile_table`` or the registry's
-``compile_table`` retrofit); schema-1 and schema-2 bundles load and
-serve exactly as before, just without the tier-0 lookup.  A table's
-manifest entry is its ``describe()`` summary, which for
-traffic-refined tables (the registry's ``refine_table`` retrofit)
-carries the refinement provenance: ``source="refined"``, the
-``generation`` counter and the version the lattice was densified from.
+The compiled inference plan is not an artefact: it is derived from the
+pipeline and model whenever a serving predictor is built
+(``TrainedBundle.predictor(compiled=True)``).
 """
 
 from __future__ import annotations
@@ -46,19 +42,15 @@ from repro.core.config import AdsalaConfig
 
 CONFIG_FILENAME = "adsala_config.json"
 MODEL_FILENAME = "adsala_model.pkl"
-PLAN_FILENAME = "adsala_plan.pkl"
 TABLE_FILENAME = "adsala_table.pkl"
 MANIFEST_FILENAME = "MANIFEST.json"
 
-#: Bump on any incompatible change to the artefact layout or pickle
-#: payload structure.  Loaders accept :data:`SUPPORTED_SCHEMAS` and
-#: refuse anything else (notably future majors).
-SCHEMA_VERSION = 3
+#: The artefact layout and pickle payload structure this build writes
+#: and reads: config + model, plus the optional decision table.  Bump on
+#: any incompatible change; loaders refuse every other value.
+SCHEMA_VERSION = 4
 
-#: Schemas this build can read: 1 (config + model), 2 (adds the
-#: optional compiled-plan artefact) and 3 (adds the optional
-#: decision-table artefact).
-SUPPORTED_SCHEMAS = (1, 2, 3)
+_REINSTALL_HINT = "re-install or re-publish the model with this build"
 
 
 class BundleError(RuntimeError):
@@ -83,12 +75,8 @@ def _sha256_file(path) -> str:
 
 
 def _combine_digests(file_digests: dict) -> str:
-    """Bundle identity from the per-file SHA-256 digests.
-
-    Iterates filenames in sorted order, which for pre-plan bundles is
-    exactly the historic (config, model) order — schema-1 checksums are
-    unchanged.
-    """
+    """Bundle identity from the per-file SHA-256 digests, taken in
+    sorted filename order."""
     digest = hashlib.sha256()
     for name in sorted(file_digests):
         digest.update(name.encode("utf-8"))
@@ -97,12 +85,11 @@ def _combine_digests(file_digests: dict) -> str:
 
 
 def _artifact_names(directory) -> list:
-    """The artefact files a bundle directory carries (plan and table
-    are optional)."""
+    """The artefact files a bundle directory carries (the table is
+    optional)."""
     names = [CONFIG_FILENAME, MODEL_FILENAME]
-    for optional in (PLAN_FILENAME, TABLE_FILENAME):
-        if os.path.exists(os.path.join(directory, optional)):
-            names.append(optional)
+    if os.path.exists(os.path.join(directory, TABLE_FILENAME)):
+        names.append(TABLE_FILENAME)
     return names
 
 
@@ -122,13 +109,11 @@ def bundle_checksum(directory) -> str:
 def save_bundle(bundle, directory, extra_manifest: dict = None) -> dict:
     """Write ``bundle`` (a :class:`~repro.core.training.TrainedBundle`).
 
-    Creates ``adsala_config.json``, ``adsala_model.pkl``, the compiled
-    plan ``adsala_plan.pkl`` (when the artefacts lower to one — plan
-    compilation is pure array packing, cheap and deterministic), the
-    decision table ``adsala_table.pkl`` (only when the bundle already
-    carries one: table compilation re-evaluates the whole lattice, so
-    it never happens implicitly here) and ``MANIFEST.json`` in
-    ``directory`` (created if missing) and returns the manifest dict.
+    Creates ``adsala_config.json``, ``adsala_model.pkl``, the decision
+    table ``adsala_table.pkl`` (only when the bundle already carries
+    one: table compilation re-evaluates the whole lattice, so it never
+    happens implicitly here) and ``MANIFEST.json`` in ``directory``
+    (created if missing) and returns the manifest dict.
     ``extra_manifest`` entries (registry metadata: routine, machine,
     version...) are merged into the manifest.
     """
@@ -137,22 +122,10 @@ def save_bundle(bundle, directory, extra_manifest: dict = None) -> dict:
     with open(os.path.join(directory, MODEL_FILENAME), "wb") as fh:
         pickle.dump({"pipeline": bundle.pipeline, "model": bundle.model,
                      "report": bundle.report}, fh)
-    plan = bundle.compile() if hasattr(bundle, "compile") else None
-    plan_path = os.path.join(directory, PLAN_FILENAME)
-    plan_meta = None
-    if plan is not None and plan.lowers_anything:
-        with open(plan_path, "wb") as fh:
-            pickle.dump({"plan": plan}, fh)
-        plan_meta = plan.describe()
-    elif os.path.exists(plan_path):  # stale plan from an earlier save
-        os.remove(plan_path)
-    table = getattr(bundle, "table", None)
     table_path = os.path.join(directory, TABLE_FILENAME)
-    table_meta = None
-    if table is not None:
+    if bundle.table is not None:
         with open(table_path, "wb") as fh:
-            pickle.dump({"table": table}, fh)
-        table_meta = table.describe()
+            pickle.dump({"table": bundle.table}, fh)
     elif os.path.exists(table_path):  # stale table from an earlier save
         os.remove(table_path)
     files = {name: _sha256_file(os.path.join(directory, name))
@@ -164,10 +137,8 @@ def save_bundle(bundle, directory, extra_manifest: dict = None) -> dict:
         "model_name": bundle.config.model_name,
         "machine": bundle.config.machine,
     }
-    if plan_meta is not None:
-        manifest["plan"] = plan_meta
-    if table_meta is not None:
-        manifest["table"] = table_meta
+    if bundle.table is not None:
+        manifest["table"] = bundle.table.describe()
     if extra_manifest:
         manifest.update(extra_manifest)
     manifest_path = os.path.join(directory, MANIFEST_FILENAME)
@@ -179,10 +150,12 @@ def save_bundle(bundle, directory, extra_manifest: dict = None) -> dict:
 
 
 def load_manifest(directory) -> dict:
-    """The bundle's manifest, or ``None`` for a pre-registry bundle."""
+    """The bundle's manifest; a directory without one is refused."""
     path = os.path.join(directory, MANIFEST_FILENAME)
     if not os.path.exists(path):
-        return None
+        raise BundleSchemaError(
+            f"bundle at {directory} has no {MANIFEST_FILENAME}: it was "
+            f"written before bundles were versioned — {_REINSTALL_HINT}")
     try:
         with open(path) as fh:
             return json.load(fh)
@@ -194,20 +167,16 @@ def load_manifest(directory) -> dict:
 def verify_bundle(directory, ignore=()) -> dict:
     """Validate schema version and artefact checksums; returns the manifest.
 
-    Legacy directories (no manifest) pass with ``None`` — backward
-    compatibility for bundles written before the registry existed.
-    ``ignore`` names artefact files to skip (used when a rebuildable
-    artefact — the compiled plan — is about to be rewritten anyway).
+    ``ignore`` names artefact files to skip (the decision table, when
+    it is about to be rebuilt anyway).
     """
     manifest = load_manifest(directory)
-    if manifest is None:
-        return None
     schema = manifest.get("schema_version")
-    if schema not in SUPPORTED_SCHEMAS:
+    if schema != SCHEMA_VERSION:
         raise BundleSchemaError(
             f"bundle at {directory} uses serialization schema {schema!r}; "
-            f"this build reads schemas {SUPPORTED_SCHEMAS} — re-install or "
-            f"re-publish the model with a matching version")
+            f"this build reads schema {SCHEMA_VERSION} only — "
+            f"{_REINSTALL_HINT}")
     for name, expected in manifest.get("files", {}).items():
         if name in ignore:
             continue
@@ -224,49 +193,43 @@ def verify_bundle(directory, ignore=()) -> dict:
     return manifest
 
 
-def _load_optional_pickle(directory, filename, key, rebuild_hint):
-    """Load an optional checksummed artefact (plan or table).
+def _load_table(directory, manifest: dict):
+    """The bundle's decision table, or ``None`` when it has none.
 
-    Refuses a file the manifest does not cover — an unmanifested
+    Refuses a table file the manifest does not cover — an unmanifested
     artefact would be unpickled with no checksum protecting it; never
     execute an unverified pickle.  Unpickling failures wrap in
     :class:`BundleIntegrityError` with the recovery command.
     """
-    path = os.path.join(directory, filename)
+    path = os.path.join(directory, TABLE_FILENAME)
     if not os.path.exists(path):
         return None
-    manifest = load_manifest(directory)
-    if manifest is not None and filename not in manifest.get("files", {}):
+    rebuild = "models --compile-table"
+    if TABLE_FILENAME not in manifest.get("files", {}):
         raise BundleIntegrityError(
             f"bundle artefact {path} is not recorded in the bundle "
             f"manifest — the file was added after installation; remove "
-            f"it, or re-run {rebuild_hint!r} to build a verified one")
+            f"it, or re-run {rebuild!r} to build a verified one")
     try:
         with open(path, "rb") as fh:
-            return pickle.load(fh)[key]
+            return pickle.load(fh)["table"]
     except Exception as exc:
         raise BundleIntegrityError(
             f"cannot unpickle bundle artefact {path}: {exc!r} — the "
             f"file is corrupt or was written by an incompatible build; "
-            f"re-run {rebuild_hint!r} to rebuild it") from exc
+            f"re-run {rebuild!r} to rebuild it") from exc
 
 
-def load_bundle(directory, verify: bool = True, load_plan: bool = True,
-                load_table: bool = True):
+def load_bundle(directory, load_table: bool = True):
     """Load a bundle saved by :func:`save_bundle`.
 
-    With a manifest present the artefacts are checksum-verified first
-    (``verify=False`` skips that, for tooling that only inspects);
-    without one, the legacy load path applies.  Unpickling failures are
-    wrapped in :class:`BundleIntegrityError` either way.  Compiled plan
-    and decision-table artefacts, when present, are loaded onto the
-    bundle; older bundles come back with ``plan``/``table`` ``None``
-    (the plan compiles lazily, the table stays absent until a
-    ``compile_table`` retrofit).  ``load_plan=False`` /
-    ``load_table=False`` skip (and do not verify) the corresponding
-    artefact — the recovery paths ``models --compile`` and
-    ``models --compile-table`` use these to rebuild a corrupt or
-    deleted artefact while still verifying the config and model.
+    The schema is checked and every artefact is checksum-verified
+    first; unpickling failures are wrapped in
+    :class:`BundleIntegrityError`.  The decision table, when present,
+    is loaded onto the bundle.  ``load_table=False`` skips (and does
+    not verify) it — the recovery path ``models --compile-table`` uses
+    this to rebuild a corrupt or deleted table while still verifying
+    the config and model.
     """
     from repro.core.training import TrainedBundle
 
@@ -275,13 +238,8 @@ def load_bundle(directory, verify: bool = True, load_plan: bool = True,
     for path in (config_path, model_path):
         if not os.path.exists(path):
             raise FileNotFoundError(f"missing installation artefact: {path}")
-    if verify:
-        ignore = ()
-        if not load_plan:
-            ignore += (PLAN_FILENAME,)
-        if not load_table:
-            ignore += (TABLE_FILENAME,)
-        verify_bundle(directory, ignore=ignore)
+    manifest = verify_bundle(
+        directory, ignore=() if load_table else (TABLE_FILENAME,))
     config = AdsalaConfig.load(config_path)
     try:
         with open(model_path, "rb") as fh:
@@ -294,14 +252,7 @@ def load_bundle(directory, verify: bool = True, load_plan: bool = True,
             f"cannot unpickle bundle artefact {model_path}: {exc!r} — the "
             f"file is corrupt or was written by an incompatible build") \
             from exc
-    plan = None
-    if load_plan:
-        plan = _load_optional_pickle(directory, PLAN_FILENAME, "plan",
-                                     "models --compile")
-    table = None
-    if load_table:
-        table = _load_optional_pickle(directory, TABLE_FILENAME, "table",
-                                      "models --compile-table")
+    table = _load_table(directory, manifest) if load_table else None
     return TrainedBundle(config=config, pipeline=pipeline,
                          model=model, report=payload.get("report"),
-                         plan=plan, table=table)
+                         table=table)

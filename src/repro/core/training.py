@@ -42,31 +42,21 @@ from repro.preprocessing.yeo_johnson import YeoJohnsonTransformer
 class TrainedBundle:
     """The two installation artefacts plus the bake-off report.
 
-    ``plan`` carries the bundle's compiled inference plan when one was
-    built (at save time, by :meth:`compile`, or loaded from the
-    ``adsala_plan.pkl`` artifact); pre-plan bundles leave it ``None``
-    and compile lazily when a serving layer asks for the fast path.
-    ``table`` carries the bundle's decision table — the plan
+    ``table`` carries the bundle's decision table — the model
     pre-evaluated over the campaign's shape lattice — when one was
     built (:meth:`compile_table`, or loaded from ``adsala_table.pkl``).
-    Unlike the plan, tables are **opt-in**: compilation re-probes the
-    sampling domain, so it runs when asked, never implicitly at save.
+    Tables are **opt-in**: compilation re-evaluates the whole lattice,
+    so it runs when asked, never implicitly at save.  The compiled
+    inference plan is not part of the bundle: :meth:`predictor` lowers
+    one from the pipeline and model whenever it is asked for the
+    compiled path.
     """
 
     config: AdsalaConfig
     pipeline: Pipeline
     model: object
     report: ModelSelectionReport = None
-    plan: object = None
     table: object = None
-
-    def compile(self, force: bool = False):
-        """Build (and cache) the compiled plan for these artefacts."""
-        if force or self.plan is None:
-            from repro.compile import compile_plan
-
-            self.plan = compile_plan(self.pipeline, self.model)
-        return self.plan
 
     def compile_table(self, resolution: int = 16, snap: str = "exact",
                       axes=None, n_probe: int = 512, force: bool = False):
@@ -87,7 +77,7 @@ class TrainedBundle:
         return self.table
 
     def predictor(self, cache_size: int = 1, thread_grid=None,
-                  compiled: bool = None, table: bool = None) \
+                  compiled: bool = False, table: bool = None) \
             -> ThreadPredictor:
         """Runtime predictor over the artefacts.
 
@@ -95,23 +85,20 @@ class TrainedBundle:
         the engine's service layer passes a larger LRU capacity.
         ``thread_grid`` restricts the candidate grid (e.g. to the
         execution machine's feasible thread counts); the installed
-        grid is used when omitted.  ``compiled`` selects the plan path:
-        ``True`` compiles lazily if needed, ``False`` forces the object
-        path, and ``None`` (default) uses a plan only if one is already
-        attached — predictions are bitwise identical either way.
-        ``table`` works the same for the tier-0 decision table, with
-        one extra rule: a table is only usable with the exact grid it
-        was compiled for, so under the default ``None`` an attached
-        table is silently dropped when ``thread_grid`` narrows the grid
-        (e.g. clamped to a smaller machine), while ``table=True`` on an
-        incompatible grid raises.
+        grid is used when omitted.  ``compiled=True`` lowers the
+        pipeline and model into a fresh compiled plan (fused kernels;
+        well under a millisecond for the boosted ensembles) and
+        evaluates through it; the default ``False`` walks the objects
+        — the oracle the compiled tiers are checked against.
+        Predictions are bitwise identical either way.  ``table``
+        selects the tier-0 decision table: ``True`` compiles one if
+        needed, ``False`` serves without, and ``None`` (default) uses
+        an attached table — except that a table is only usable with
+        the exact grid it was compiled for, so under ``None`` an
+        attached table is silently dropped when ``thread_grid``
+        narrows the grid (e.g. clamped to a smaller machine), while
+        ``table=True`` on an incompatible grid raises.
         """
-        if compiled is True:
-            plan = self.compile()
-        elif compiled is False:
-            plan = None
-        else:
-            plan = self.plan
         grid = (self.config.thread_grid if thread_grid is None
                 else thread_grid)
         if table is True:
@@ -125,17 +112,16 @@ class TrainedBundle:
                     np.asarray(sorted(set(int(t) for t in grid)),
                                dtype=np.int64)):
                 tbl = None  # grid narrowed: table indices no longer apply
-        return ThreadPredictor(
+        predictor = ThreadPredictor(
             feature_builder=FeatureBuilder(self.config.feature_groups),
             pipeline=self.pipeline,
             model=self.model,
             thread_grid=grid,
             cache_size=cache_size,
-            plan=plan,
             table=tbl,
-            # getattr: bundles pickled before the routine tag existed.
-            routine=getattr(self.config, "routine", "gemm"),
+            routine=self.config.routine,
         )
+        return predictor.compile() if compiled else predictor
 
 
 class InstallationWorkflow:

@@ -162,10 +162,9 @@ class GemmService:
         node still serve (predicting only feasible team sizes) when
         dispatched to a smaller one.
 
-        The predictor takes the compiled fast path: a bundle that
-        carries a persisted plan uses it directly, and a pre-plan
-        (legacy) bundle compiles one lazily here — thread choices are
-        bitwise identical to the object path either way.  The bundle's
+        The predictor takes the compiled fast path: its plan is
+        lowered from the bundle's pipeline and model here, and thread
+        choices are bitwise identical to the object path.  The bundle's
         ``config.routine`` tag makes the service's default routine,
         so a GEMV installation serves GEMV traffic directly: on a
         machine simulator, the routine's execution is routed through
@@ -332,11 +331,10 @@ class GemmService:
                routine: Optional[str] = None) -> dict:
         """Hot-swap one routine's installation artefacts without restarting.
 
-        ``routine`` defaults to the bundle's own ``config.routine`` tag
-        (legacy pre-tag bundles: the service default), so publishing a
-        new GEMV model into a mixed service swaps *only* the GEMV
-        predictor — every other routine keeps serving its artefacts
-        untouched.  The fresh predictor (fresh, empty cache; grid
+        ``routine`` defaults to the bundle's own ``config.routine`` tag,
+        so publishing a new GEMV model into a mixed service swaps *only*
+        the GEMV predictor — every other routine keeps serving its
+        artefacts untouched.  The fresh predictor (fresh, empty cache; grid
         clamped to the machine exactly as :meth:`from_bundle` does) is
         installed with a single reference assignment, so a concurrently
         executing :meth:`run`/:meth:`run_batch` (which snapshot their
@@ -346,8 +344,7 @@ class GemmService:
         Returns a summary of the new deployment.
         """
         self._ensure_open()
-        routine = routine or getattr(bundle.config, "routine", None) \
-            or self.routine
+        routine = routine or bundle.config.routine
         old = self._predictors.get(routine)
         if cache_size is None:
             cache_size = old.cache.maxsize if old is not None \

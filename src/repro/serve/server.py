@@ -280,18 +280,19 @@ class GemmServer(Front):
     def stats(self) -> dict:
         """Telemetry plus per-shard engine statistics.
 
-        ``model_passes``/``evaluations`` aggregate the shards' predictor
-        counters, which is what the serve benchmark compares against
-        per-request serving.  The engines own the reload and
-        decision-table counts: ``reloads`` and the ``table_*`` keys
-        (in total and per routine, present once a table has answered
-        or fallen back) sum the distinct shard engines, so a service
-        shared by two shards counts once and calls made on an engine
-        directly count too.
+        The engines own the prediction, reload and decision-table
+        counts: ``evaluations``, ``model_passes`` (what the serve
+        benchmark compares against per-request serving), ``reloads``
+        and the ``table_*`` keys (in total and per routine, present
+        once a table has answered or fallen back) sum the distinct
+        shard engines, so a service shared by two shards counts once
+        and calls made on an engine directly count too.
         """
         shard_stats = {name: service.stats()
                        for name, service in self.shards.items()}
         engines = {id(service): service for service in self.shards.values()}
+        engine_stats = {id(service): shard_stats[name]
+                        for name, service in self.shards.items()}
         out = self.telemetry.stats()
         out["reloads"] = sum(service.bundle_generation
                              for service in engines.values())
@@ -317,8 +318,10 @@ class GemmServer(Front):
             "max_queue": self.max_queue,
             "max_batch": self.policy.max_batch,
             "max_wait_ms": self.policy.max_wait_ms,
-            "evaluations": sum(s["evaluations"] for s in shard_stats.values()),
-            "model_passes": sum(s["model_passes"] for s in shard_stats.values()),
+            "evaluations": sum(s["evaluations"]
+                               for s in engine_stats.values()),
+            "model_passes": sum(s["model_passes"]
+                                for s in engine_stats.values()),
             "shards": shard_stats,
         })
         # Observability keys appear only when the features are on, so

@@ -4,10 +4,11 @@ The registry replaces "a directory with two files" as the unit of model
 deployment.  On-disk layout::
 
     <root>/
-      registry.json                  # {"schema_version": 1}
+      registry.json                  # {"schema_version": 4}
       bundles/<routine>-<machine>-v<N>/
           adsala_config.json
           adsala_model.pkl
+          adsala_table.pkl           # optional: the decision table
           MANIFEST.json              # schema, SHA-256 checksums, metadata
       refs/<routine>/<machine>.json  # {"latest": N, "versions": {...}}
 
@@ -18,9 +19,10 @@ per-(routine, machine) ``latest`` ref with an atomic replace — a reader
 (or a serving process hot-reloading between micro-batches) never sees a
 half-written bundle.  Loads verify checksums and schema via
 :func:`~repro.core.serialize.verify_bundle`, failing loudly on
-corruption; plain pre-registry bundle directories remain loadable
-through :func:`~repro.core.serialize.load_bundle` for backward
-compatibility.
+corruption or on a bundle written under another schema.  The table is
+there once :meth:`ModelRegistry.compile_table` has built one; the
+compiled inference plan is lowered when a serving predictor is built,
+never stored.
 """
 
 from __future__ import annotations
@@ -35,10 +37,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.routines import REGISTRY, routine_names
-from repro.core.serialize import (PLAN_FILENAME, SCHEMA_VERSION,
-                                  TABLE_FILENAME, BundleError,
-                                  _combine_digests, _sha256_file,
-                                  load_bundle, load_manifest, save_bundle)
+from repro.core.serialize import (SCHEMA_VERSION, TABLE_FILENAME,
+                                  BundleError, _combine_digests,
+                                  _sha256_file, load_bundle, load_manifest,
+                                  save_bundle)
 from repro.obs.metrics import default_registry
 
 #: Import-time snapshot of the central routine registry
@@ -194,11 +196,6 @@ class ModelRegistry:
         # the bundle identity derives from those digests — no second
         # read of the files is needed to cross-check the registry index.
         manifest = load_manifest(record.path)
-        if manifest is None:
-            raise BundleError(
-                f"registry bundle {record.ref} at {record.path} has no "
-                f"manifest — the directory was tampered with after "
-                f"publication; re-publish the model")
         actual = _combine_digests(manifest["files"])
         if actual != record.checksum:
             raise BundleError(
@@ -207,62 +204,6 @@ class ModelRegistry:
                 f"to {actual[:12]}… — the registry index and the bundle "
                 f"disagree; re-publish the model")
         return bundle
-
-    # -- compiled plans --------------------------------------------------
-    def has_plan(self, record: ModelRecord) -> bool:
-        """Whether a bundle directory carries a compiled-plan artefact."""
-        return os.path.exists(os.path.join(record.path, PLAN_FILENAME))
-
-    def compile_plan(self, routine: str, machine: str,
-                     version="latest") -> dict:
-        """(Re)build a bundle's compiled plan, published as a new version.
-
-        Loads the source bundle (config and model checksum-verified; an
-        existing plan artefact is neither loaded nor verified, so a
-        corrupt or deleted plan is recoverable here), lowers the
-        artefacts, and publishes the result as the next version —
-        published bundle directories stay immutable and concurrent
-        readers keep the staging+rename+atomic-ref guarantees that
-        in-place mutation would break.  Returns a summary with the new
-        version and plan description.  Idempotent: when the source
-        bundle already carries a byte-identical plan the summary
-        reports ``up_to_date``, and when nothing was lowerable
-        (``plan`` is ``None``) no version is published either.
-        """
-        record = self.resolve(routine, machine, version)
-        bundle = load_bundle(record.path, load_plan=False)
-        plan = bundle.compile(force=True)
-        if not plan.lowers_anything:
-            return {"routine": record.routine, "machine": record.machine,
-                    "version": record.version, "checksum": record.checksum,
-                    "plan": None}
-        if self.has_plan(record):
-            # Plan pickling is deterministic, so byte-equality with the
-            # artefact actually on disk (not the manifest's record of
-            # it — a corrupt file must not read as current) means a
-            # republish would mint an identical duplicate version;
-            # report up-to-date instead.
-            existing = _sha256_file(
-                os.path.join(record.path, PLAN_FILENAME))
-            fresh = hashlib.sha256(
-                pickle.dumps({"plan": plan})).hexdigest()
-            if existing == fresh:
-                manifest = load_manifest(record.path) or {}
-                return {"routine": record.routine,
-                        "machine": record.machine,
-                        "version": record.version,
-                        "checksum": record.checksum,
-                        "plan": manifest.get("plan"),
-                        "up_to_date": True}
-        new_record = self.publish(
-            bundle, routine=routine, machine=machine,
-            extra={"compiled_from_version": record.version})
-        manifest = load_manifest(new_record.path)
-        return {"routine": new_record.routine, "machine": new_record.machine,
-                "version": new_record.version,
-                "compiled_from_version": record.version,
-                "checksum": new_record.checksum,
-                "plan": manifest.get("plan")}
 
     # -- decision tables -------------------------------------------------
     def has_table(self, record: ModelRecord) -> bool:
@@ -274,13 +215,13 @@ class ModelRegistry:
                       n_probe: int = 512) -> dict:
         """(Re)build a bundle's decision table, published as a new version.
 
-        The retrofit twin of :meth:`compile_plan`: loads the source
-        bundle (config and model checksum-verified; an existing table
-        artefact is neither loaded nor verified, so a corrupt or
-        deleted table is recoverable here), pre-evaluates the compiled
-        plan over the campaign lattice — validated bitwise on every
-        lattice point — and publishes the result as the next immutable
-        version with a ``table_from_version`` provenance entry.
+        Loads the source bundle (config and model checksum-verified;
+        an existing table artefact is neither loaded nor verified, so a
+        corrupt or deleted table is recoverable here), pre-evaluates
+        the compiled plan over the campaign lattice — validated bitwise
+        on every lattice point — and publishes the result as the next
+        immutable version with a ``table_from_version`` provenance
+        entry.
         Idempotent: a source bundle already carrying a byte-identical
         table reports ``up_to_date`` and mints no duplicate version.
         """
@@ -299,7 +240,7 @@ class ModelRegistry:
             fresh = hashlib.sha256(
                 pickle.dumps({"table": table})).hexdigest()
             if existing == fresh:
-                manifest = load_manifest(record.path) or {}
+                manifest = load_manifest(record.path)
                 return {"routine": record.routine,
                         "machine": record.machine,
                         "version": record.version,
@@ -487,14 +428,11 @@ class ModelRegistry:
 
     def inspect(self, routine: str, machine: str, version="latest") -> dict:
         """The resolved record plus its bundle manifest (no unpickling)."""
-        from repro.core.serialize import load_manifest
-
         record = self.resolve(routine, machine, version)
         manifest = load_manifest(record.path)
         return {"routine": record.routine, "machine": record.machine,
                 "version": record.version, "latest": record.latest,
                 "path": record.path, "checksum": record.checksum,
-                "has_plan": self.has_plan(record),
                 "has_table": self.has_table(record), "manifest": manifest}
 
 

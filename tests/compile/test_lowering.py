@@ -68,7 +68,7 @@ def test_plan_records_fallbacks(fitted_models, fitted_pipeline):
     plan = compile_plan(pipeline, knn)
     assert plan.transform is not None
     assert plan.model is None
-    assert plan.lowers_anything and not plan.fully_lowered
+    assert not plan.fully_lowered
     assert plan.describe()["model"] == "object-fallback"
 
 

@@ -1,17 +1,24 @@
-"""Compiled plans as bundle artefacts: save/load, legacy, registry, engine."""
+"""Compiled plans and bundles on disk: what is stored, what is lowered.
 
-import json
+A bundle directory holds its config and model (plus an optional
+decision table); the compiled plan is lowered whenever a serving
+predictor is built, so a loaded bundle serves compiled with choices
+bitwise equal to the object path.
+"""
+
 import os
-import pickle
 
 import numpy as np
 import pytest
 
-from repro.core.serialize import (MANIFEST_FILENAME, PLAN_FILENAME,
-                                  SCHEMA_VERSION, _sha256_file,
-                                  bundle_checksum, load_bundle, save_bundle)
+from repro.core.serialize import (CONFIG_FILENAME, MANIFEST_FILENAME,
+                                  MODEL_FILENAME, SCHEMA_VERSION,
+                                  load_bundle, save_bundle)
 from repro.engine.service import GemmService
 from repro.train.registry import ModelRegistry
+
+#: The files a bundle without a decision table consists of.
+BUNDLE_FILES = {CONFIG_FILENAME, MODEL_FILENAME, MANIFEST_FILENAME}
 
 
 @pytest.fixture
@@ -25,93 +32,46 @@ def saved(tiny_bundle, tmp_path):
 class UnlowerableModel:
     """Pickles fine, lowers to nothing (module-level for pickle)."""
 
-    def predict(self, X):  # pragma: no cover - never called
+    def predict(self, X):
         return X[:, 0]
 
 
-def make_legacy(directory):
-    """Rewrite a saved bundle as a pre-plan schema-1 directory."""
-    os.remove(directory / PLAN_FILENAME)
-    manifest = json.loads((directory / MANIFEST_FILENAME).read_text())
-    manifest["schema_version"] = 1
-    del manifest["files"][PLAN_FILENAME]
-    del manifest["plan"]
-    manifest["checksum"] = bundle_checksum(directory)
-    (directory / MANIFEST_FILENAME).write_text(json.dumps(manifest))
-
-
 class TestSaveLoad:
-    def test_plan_artifact_written_and_described(self, saved):
+    def test_save_writes_config_model_and_manifest_only(self, saved):
         _, _, directory, manifest = saved
-        assert (directory / PLAN_FILENAME).exists()
-        assert manifest["schema_version"] == SCHEMA_VERSION
-        assert PLAN_FILENAME in manifest["files"]
-        assert manifest["plan"]["fully_lowered"]
-        assert manifest["checksum"] == bundle_checksum(directory)
+        assert set(os.listdir(directory)) == BUNDLE_FILES
+        assert manifest["schema_version"] == SCHEMA_VERSION == 4
+        assert set(manifest["files"]) == {CONFIG_FILENAME, MODEL_FILENAME}
+        assert "plan" not in manifest
 
     def test_loaded_plan_predicts_bitwise_identically(self, saved):
         bundle, _, directory, _ = saved
         loaded = load_bundle(directory)
-        assert loaded.plan is not None
         obj = bundle.predictor(cache_size=16, compiled=False)
-        comp = loaded.predictor(cache_size=16)  # default: use loaded plan
-        assert comp.compiled
+        comp = loaded.predictor(cache_size=16, compiled=True)
+        assert comp.compiled and comp.plan.fully_lowered
         shapes = [(64, 512, 64), (100, 100, 100), (1, 1, 1), (999, 31, 207)]
         np.testing.assert_array_equal(obj.predicted_runtimes_batch(shapes),
                                       comp.predicted_runtimes_batch(shapes))
         np.testing.assert_array_equal(obj.predict_threads_batch(shapes),
                                       comp.predict_threads_batch(shapes))
 
-    def test_corrupt_plan_fails_loudly(self, saved, tiny_bundle):
-        from repro.core.serialize import BundleIntegrityError
-
+    def test_default_predictor_walks_the_objects(self, saved):
+        """``compiled`` defaults to the object path, the oracle."""
         _, _, directory, _ = saved
-        (directory / PLAN_FILENAME).write_bytes(b"\x80\x04 garbage")
-        manifest = json.loads((directory / MANIFEST_FILENAME).read_text())
-        manifest["files"][PLAN_FILENAME] = _sha256_file(
-            os.path.join(directory, PLAN_FILENAME))
-        manifest["checksum"] = bundle_checksum(directory)
-        (directory / MANIFEST_FILENAME).write_text(json.dumps(manifest))
-        with pytest.raises(BundleIntegrityError, match="plan"):
-            load_bundle(directory)
-
-    def test_unmanifested_plan_is_refused(self, saved):
-        """A plan file the manifest does not cover would be an
-        unverified pickle — load must refuse it, not execute it."""
-        from repro.core.serialize import BundleIntegrityError
-
-        _, _, directory, _ = saved
-        rogue = (directory / PLAN_FILENAME).read_bytes()
-        make_legacy(directory)  # schema-1 manifest, no plan entry
-        (directory / PLAN_FILENAME).write_bytes(rogue)
-        with pytest.raises(BundleIntegrityError, match="not recorded"):
-            load_bundle(directory)
-        # The recovery path still works: skip the rogue file entirely.
-        assert load_bundle(directory, load_plan=False).plan is None
-
-    def test_plan_pickle_is_deterministic(self, saved, tmp_path):
-        bundle, _, directory, _ = saved
-        save_bundle(bundle, tmp_path / "again")
-        assert (directory / PLAN_FILENAME).read_bytes() \
-            == (tmp_path / "again" / PLAN_FILENAME).read_bytes()
-        assert bundle_checksum(directory) \
-            == bundle_checksum(tmp_path / "again")
+        assert not load_bundle(directory).predictor().compiled
 
 
-class TestLegacyBundles:
-    def test_schema1_bundle_loads_without_plan(self, saved):
-        _, _, directory, _ = saved
-        make_legacy(directory)
-        loaded = load_bundle(directory)
-        assert loaded.plan is None
-        assert not loaded.predictor().compiled
-
-    def test_legacy_bundle_compiles_lazily_in_service(self, saved):
-        bundle, sim, directory, _ = saved
-        make_legacy(directory)
-        loaded = load_bundle(directory)
-        service = GemmService.from_bundle(loaded, sim)
-        assert service.predictor.compiled  # compiled on first serve
+class TestRegistryPlans:
+    def test_publish_stores_no_plan_and_load_serves_compiled(
+            self, tiny_bundle, tmp_path):
+        bundle, sim = tiny_bundle
+        registry = ModelRegistry(tmp_path / "registry")
+        record = registry.publish(bundle, routine="gemm")
+        assert set(os.listdir(record.path)) == BUNDLE_FILES
+        assert "has_plan" not in registry.inspect("gemm", "tiny")
+        service = GemmService.from_bundle(registry.load("gemm", "tiny"), sim)
+        assert service.predictor.compiled
         reference = GemmService(bundle.predictor(cache_size=256,
                                                  compiled=False),
                                 backend=sim)
@@ -119,92 +79,31 @@ class TestLegacyBundles:
         np.testing.assert_array_equal(service.predict_batch(specs),
                                       reference.predict_batch(specs))
 
-
-class TestRegistryPlans:
-    def test_publish_carries_plan(self, tiny_bundle, tmp_path):
-        bundle, _ = tiny_bundle
-        registry = ModelRegistry(tmp_path / "registry")
-        record = registry.publish(bundle, routine="gemm")
-        assert registry.has_plan(record)
-        assert registry.inspect("gemm", "tiny")["has_plan"]
-        assert registry.load("gemm", "tiny").plan is not None
-
-    def test_compile_plan_retrofits_legacy_bundle(self, tiny_bundle,
-                                                  tmp_path):
-        bundle, _ = tiny_bundle
-        registry = ModelRegistry(tmp_path / "registry")
-        record = registry.publish(bundle, routine="gemm")
-        # Strip the plan (simulating a pre-plan publication)...
-        import pathlib
-
-        make_legacy(pathlib.Path(record.path))
-        registry._write_ref("gemm", "tiny", {
-            "latest": 1,
-            "versions": {"1": {"checksum": bundle_checksum(record.path),
-                               "model_name": record.model_name}}})
-        assert registry.load("gemm", "tiny").plan is None
-        # ...then retrofit: published as a new immutable version (the v1
-        # directory is never touched; concurrent readers stay safe).
-        info = registry.compile_plan("gemm", "tiny")
-        assert info["plan"]["fully_lowered"]
-        assert (info["version"], info["compiled_from_version"]) == (2, 1)
-        assert registry.has_plan(registry.resolve("gemm", "tiny"))
-        assert not registry.has_plan(registry.resolve("gemm", "tiny",
-                                                      version=1))
-        loaded = registry.load("gemm", "tiny")  # latest: checksum verifies
-        assert loaded.plan is not None
-
-    def test_recompile_is_idempotent(self, tiny_bundle, tmp_path):
-        """A bundle already carrying a byte-identical plan is reported
-        up-to-date — no duplicate version is minted."""
-        bundle, _ = tiny_bundle
-        registry = ModelRegistry(tmp_path / "registry")
-        registry.publish(bundle, routine="gemm")
-        info = registry.compile_plan("gemm", "tiny")
-        assert info["up_to_date"] and info["version"] == 1
-        assert info["plan"]["fully_lowered"]
-        assert len(registry.entries()) == 1
-        assert registry.load("gemm", "tiny").plan is not None
-
-    def test_compile_plan_recovers_corrupt_plan(self, tiny_bundle,
-                                                tmp_path):
-        """models --compile is the recovery path: it must work even when
-        the existing plan artefact is unreadable or missing."""
-        bundle, _ = tiny_bundle
-        registry = ModelRegistry(tmp_path / "registry")
-        record = registry.publish(bundle, routine="gemm")
-        plan_path = os.path.join(record.path, PLAN_FILENAME)
-        with open(plan_path, "wb") as fh:
-            fh.write(b"\x80\x04 garbage")
-        info = registry.compile_plan("gemm", "tiny")
-        assert info["plan"]["fully_lowered"] and info["version"] == 2
-        assert registry.load("gemm", "tiny").plan is not None
-        # Deleted plan (manifest now stale): also recoverable.
-        os.remove(os.path.join(registry.resolve("gemm", "tiny").path,
-                               PLAN_FILENAME))
-        info = registry.compile_plan("gemm", "tiny")
-        assert info["version"] == 3
-        assert registry.load("gemm", "tiny").plan is not None
-
-    def test_nothing_lowerable_publishes_nothing(self, tiny_bundle,
-                                                 tmp_path):
-        """A bundle whose model AND pipeline keep the object path gets
-        no plan artefact, and compiling it publishes no new version."""
+    def test_unlowerable_bundle_serves_on_the_object_path(self, tiny_bundle,
+                                                          tmp_path):
+        """A bundle whose model AND pipeline keep the object path saves,
+        publishes and serves: its plan lowers neither half, so every
+        score comes from the objects."""
         import dataclasses
 
-        bundle, _ = tiny_bundle
+        bundle, sim = tiny_bundle
         stubborn = dataclasses.replace(bundle, pipeline=None,
-                                       model=UnlowerableModel(), plan=None)
+                                       model=UnlowerableModel(), table=None)
         directory = tmp_path / "stubborn"
-        manifest = save_bundle(stubborn, directory)
-        assert not (directory / PLAN_FILENAME).exists()
-        assert PLAN_FILENAME not in manifest["files"]
+        save_bundle(stubborn, directory)
+        assert set(os.listdir(directory)) == BUNDLE_FILES
 
         registry = ModelRegistry(tmp_path / "registry")
         registry.publish(stubborn, routine="gemm")
-        info = registry.compile_plan("gemm", "tiny")
-        assert info["plan"] is None and info["version"] == 1
-        assert len(registry.entries()) == 1  # no useless version churn
+        service = GemmService.from_bundle(registry.load("gemm", "tiny"), sim)
+        plan = service.predictor.plan
+        assert plan.transform is None and plan.model is None
+        reference = GemmService(stubborn.predictor(cache_size=256,
+                                                   compiled=False),
+                                backend=sim)
+        specs = [(64, 512, 64), (333, 17, 1021), (128, 128, 128)]
+        np.testing.assert_array_equal(service.predict_batch(specs),
+                                      reference.predict_batch(specs))
 
 
 class TestEngineIntegration:

@@ -15,8 +15,7 @@ import numpy as np
 import pytest
 
 from repro.compile import DecisionTable, compile_table
-from repro.compile.table import (MAX_LATTICE_POINTS, _corner_agreement,
-                                 refine_axes)
+from repro.compile.table import MAX_LATTICE_POINTS, refine_axes
 from repro.core.predictor import ShapeReservoir, ThreadPredictor
 from repro.core.routines import REGISTRY
 from repro.train.registry import ModelRegistry, RegistryError
@@ -230,15 +229,6 @@ class TestPlateauPersistence:
         clone = pickle.loads(payload)
         clone.lookup(33, 44, 55)  # dirty the scratch buffer
         assert pickle.dumps(clone) == payload
-
-    def test_pre_plateau_state_backfills_mask(self, table):
-        state = table.__getstate__()
-        state.pop("cell_ok")
-        legacy = DecisionTable.__new__(DecisionTable)
-        legacy.__setstate__(state)
-        np.testing.assert_array_equal(
-            legacy.cell_ok, _corner_agreement(table.grid_index))
-        assert legacy.lookup(*lattice_shapes(table)[0]) is not None
 
 
 class TestRefineAxes:

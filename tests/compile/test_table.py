@@ -17,14 +17,15 @@ from repro.compile import (DecisionTable, TableValidationError,
                            campaign_axes, compile_table)
 from repro.core.predictor import ThreadPredictor
 from repro.core.routines import REGISTRY
-from repro.core.serialize import (MANIFEST_FILENAME, TABLE_FILENAME,
-                                  bundle_checksum, load_bundle, save_bundle)
+from repro.core.serialize import (CONFIG_FILENAME, MANIFEST_FILENAME,
+                                  MODEL_FILENAME, TABLE_FILENAME,
+                                  BundleSchemaError, bundle_checksum,
+                                  load_bundle, save_bundle)
 from repro.engine.service import GemmService
 from repro.ml.registry import candidate_models
 from repro.train.registry import ModelRegistry
 
 from tests.compile.conftest import GRID, random_query_shapes
-from tests.compile.test_persistence import make_legacy
 
 ALL_CANDIDATES = candidate_models(budget="fast", include_extra=True,
                                   random_state=0)
@@ -276,6 +277,17 @@ class TestPersistence:
         assert "table" not in manifest
         assert load_bundle(tmp_path / "plain").table is None
 
+    def test_save_and_publish_add_exactly_the_table(self, table_saved,
+                                                    tmp_path):
+        bundle, _, directory, manifest = table_saved
+        files = {CONFIG_FILENAME, MODEL_FILENAME, TABLE_FILENAME,
+                 MANIFEST_FILENAME}
+        assert set(os.listdir(directory)) == files
+        assert manifest["schema_version"] == 4
+        record = ModelRegistry(tmp_path / "registry").publish(
+            bundle, routine="gemm")
+        assert set(os.listdir(record.path)) == files
+
     def test_table_artifact_written_and_described(self, table_saved):
         bundle, _, directory, manifest = table_saved
         assert (directory / TABLE_FILENAME).exists()
@@ -288,7 +300,7 @@ class TestPersistence:
         bundle, _, directory, _ = table_saved
         loaded = load_bundle(directory)
         assert loaded.table is not None
-        predictor = loaded.predictor(cache_size=256)
+        predictor = loaded.predictor(cache_size=256, compiled=True)
         assert predictor.tabled and predictor.compiled
         shapes = lattice_shapes(loaded.table)
         reference = bundle.predictor(cache_size=256, compiled=False,
@@ -304,29 +316,31 @@ class TestPersistence:
         assert (directory / TABLE_FILENAME).read_bytes() \
             == (tmp_path / "again" / TABLE_FILENAME).read_bytes()
 
-    def test_schema2_bundle_without_table_loads(self, table_saved):
-        """Pre-table (schema <= 2) bundles keep loading and serving."""
+    def test_schema3_bundle_is_refused(self, table_saved):
+        """A directory written the schema-3 way — the compiled plan
+        stored next to the table and recorded in the manifest — is
+        refused with a re-install hint, not half-read."""
+        import pickle
+
+        from repro.compile import compile_plan
+        from repro.core.serialize import _combine_digests, _sha256_file
+
         bundle, _, directory, _ = table_saved
-        os.remove(directory / TABLE_FILENAME)
+        plan_path = directory / "adsala_plan.pkl"
+        plan_path.write_bytes(pickle.dumps(
+            {"plan": compile_plan(bundle.pipeline, bundle.model)}))
         manifest = json.loads((directory / MANIFEST_FILENAME).read_text())
-        manifest["schema_version"] = 2
-        del manifest["files"][TABLE_FILENAME]
-        del manifest["table"]
-        manifest["checksum"] = bundle_checksum(directory)
+        manifest["schema_version"] = 3
+        manifest["files"]["adsala_plan.pkl"] = _sha256_file(plan_path)
+        manifest["checksum"] = _combine_digests(manifest["files"])
         (directory / MANIFEST_FILENAME).write_text(json.dumps(manifest))
-        loaded = load_bundle(directory)
-        assert loaded.table is None and loaded.plan is not None
-        predictor = loaded.predictor()
-        assert not predictor.tabled
-        m, k, n = lattice_shapes(bundle.table)[0]
-        assert predictor.predict_threads(m, k, n) \
-            == bundle.predictor(table=False).predict_threads(m, k, n)
+        with pytest.raises(BundleSchemaError, match="re-install"):
+            load_bundle(directory)
 
     def test_unmanifested_table_is_refused(self, table_saved):
         from repro.core.serialize import BundleIntegrityError
 
-        bundle, _, directory, _ = table_saved
-        make_legacy(directory)  # schema-1 manifest (plan artefact gone)
+        _, _, directory, _ = table_saved
         # Drop the table from the manifest but leave the pickle on disk:
         # exactly what a file dropped into the directory afterwards
         # looks like — an artefact no checksum protects.
@@ -353,7 +367,8 @@ class TestPersistence:
         with pytest.raises(BundleIntegrityError, match="table"):
             load_bundle(directory)
         # Recovery path: skip the table, keep everything else.
-        assert load_bundle(directory, load_table=False).plan is not None
+        loaded = load_bundle(directory, load_table=False)
+        assert loaded.table is None and loaded.model is not None
 
 
 class TestRegistryTables:

@@ -16,6 +16,15 @@ class TestConfig:
         loaded = AdsalaConfig.load(path)
         assert loaded == cfg
 
+    def test_config_without_routine_loads_as_gemm(self, tmp_path):
+        """A config JSON written without the routine tag is a GEMM one."""
+        import json
+
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"machine": "gadi",
+                                    "thread_grid": [1, 2, 4]}))
+        assert AdsalaConfig.load(path).routine == "gemm"
+
     def test_thread_grid_coerced_to_ints(self):
         cfg = AdsalaConfig(machine="t", thread_grid=[1.0, 2.0])
         assert cfg.thread_grid == [1, 2]

@@ -1,4 +1,4 @@
-"""Bundle persistence hardening: manifests, checksums, legacy compat."""
+"""Bundle persistence hardening: manifests, checksums, schema refusal."""
 
 import json
 import os
@@ -7,10 +7,9 @@ import pickle
 import pytest
 
 from repro.core.serialize import (CONFIG_FILENAME, MANIFEST_FILENAME,
-                                  MODEL_FILENAME, PLAN_FILENAME,
-                                  SCHEMA_VERSION, BundleIntegrityError,
-                                  BundleSchemaError, bundle_checksum,
-                                  load_bundle, save_bundle)
+                                  MODEL_FILENAME, SCHEMA_VERSION,
+                                  BundleIntegrityError, BundleSchemaError,
+                                  bundle_checksum, load_bundle, save_bundle)
 
 
 @pytest.fixture
@@ -25,8 +24,7 @@ class TestManifest:
     def test_save_writes_schema_and_checksums(self, saved):
         _, directory, manifest = saved
         assert manifest["schema_version"] == SCHEMA_VERSION
-        assert set(manifest["files"]) == {CONFIG_FILENAME, MODEL_FILENAME,
-                                          PLAN_FILENAME}
+        assert set(manifest["files"]) == {CONFIG_FILENAME, MODEL_FILENAME}
         assert manifest["checksum"] == bundle_checksum(directory)
         on_disk = json.loads((directory / MANIFEST_FILENAME).read_text())
         assert on_disk == manifest
@@ -66,13 +64,6 @@ class TestVerification:
         with pytest.raises(BundleSchemaError, match="schema"):
             load_bundle(directory)
 
-    def test_verify_false_skips_checksums(self, saved):
-        bundle, directory, _ = saved
-        config_path = directory / CONFIG_FILENAME
-        config_path.write_text(config_path.read_text() + "\n")
-        loaded = load_bundle(directory, verify=False)
-        assert loaded.config == bundle.config
-
     def test_malformed_payload_wrapped(self, saved):
         from repro.core.serialize import _sha256_file, load_manifest
 
@@ -89,14 +80,14 @@ class TestVerification:
 
 
 class TestLegacyCompat:
-    def test_pre_registry_directory_still_loads(self, saved):
-        """Bundles written before the manifest existed load unchanged."""
-        bundle, directory, _ = saved
+    def test_pre_registry_directory_is_refused(self, saved):
+        """A directory with no manifest has nothing to verify its
+        pickles against: loading it is refused with a re-install
+        hint."""
+        _, directory, _ = saved
         os.remove(directory / MANIFEST_FILENAME)
-        loaded = load_bundle(directory)
-        assert loaded.config == bundle.config
-        assert loaded.predictor().predict_threads(64, 64, 64) \
-            == bundle.predictor().predict_threads(64, 64, 64)
+        with pytest.raises(BundleSchemaError, match="re-install"):
+            load_bundle(directory)
 
     def test_missing_artefacts_still_filenotfound(self, tmp_path):
         with pytest.raises(FileNotFoundError):

@@ -26,7 +26,7 @@ class TestRoundTrip:
         loaded = load_bundle(tmp_path / routine)
         assert loaded.config.routine == routine
         specs = routine_specs(routine)
-        fresh = loaded.predictor(cache_size=64)
+        fresh = loaded.predictor(cache_size=64, compiled=True)
         orig = bundle.predictor(cache_size=64)
         for spec in specs:
             assert fresh.predict_threads(*spec.dims) == \

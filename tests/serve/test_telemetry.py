@@ -126,6 +126,26 @@ class TestServerTelemetryEndToEnd:
         assert stats["evaluations"] == shard["evaluations"]
         assert stats["model_passes"] >= 1
 
+    def test_shared_engine_counts_once(self, make_service, distinct_specs):
+        """Two shards over one service report the engine's own
+        evaluation and model-pass counts, not one copy per shard."""
+        service = make_service()
+        server = GemmServer({"a": service, "b": service})
+
+        async def scenario():
+            async with server:
+                for shard, specs in (("a", distinct_specs[:3]),
+                                     ("b", distinct_specs[3:6])):
+                    await asyncio.gather(*(server.submit(spec, shard=shard)
+                                           for spec in specs))
+
+        asyncio.run(scenario())
+        engine = service.stats()
+        assert engine["evaluations"] == 6
+        stats = server.stats()
+        assert stats["evaluations"] == engine["evaluations"]
+        assert stats["model_passes"] == engine["model_passes"]
+
     def test_per_client_accounting_sums_to_totals(self, outcome_and_server):
         outcome, server = outcome_and_server
         clients = outcome.stats["clients"]

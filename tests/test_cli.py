@@ -26,18 +26,13 @@ class TestParser:
         args = build_parser().parse_args(
             ["models", "--registry", "reg", "--inspect", "gemv/tiny@2"])
         assert args.registry == "reg" and args.inspect == "gemv/tiny@2"
-        assert args.compile is None
-
-    def test_models_compile_args(self):
-        args = build_parser().parse_args(
-            ["models", "--registry", "reg", "--compile", "gemm/tiny"])
-        assert args.compile == "gemm/tiny" and args.inspect is None
+        assert args.compile_table is None
 
     def test_models_compile_and_inspect_are_exclusive(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(
-                ["models", "--registry", "reg", "--compile", "gemm/tiny",
-                 "--inspect", "gemv/tiny"])
+                ["models", "--registry", "reg", "--compile-table",
+                 "gemm/tiny", "--inspect", "gemv/tiny"])
 
     def test_unknown_routine_rejected(self):
         with pytest.raises(SystemExit):
@@ -215,34 +210,14 @@ class TestEndToEnd:
         rc = main(["models", "--registry", str(registry_dir)])
         assert rc == 0
         listing = capsys.readouterr().out
-        assert "plan" in listing  # compiled-artifact presence column
-
-        # Fresh publishes already carry a plan: compile is a no-op...
-        rc = main(["models", "--registry", str(registry_dir),
-                   "--compile", "gemm/tiny"])
-        assert rc == 0
-        assert "already up to date" in capsys.readouterr().out
-
-        # ...but after the plan artefact is lost, it republishes.
-        import os
-
-        from repro.core.serialize import PLAN_FILENAME
-        from repro.train.registry import ModelRegistry as Reg
-
-        record = Reg(registry_dir).resolve("gemm", "tiny")
-        os.remove(os.path.join(record.path, PLAN_FILENAME))
-        rc = main(["models", "--registry", str(registry_dir),
-                   "--compile", "gemm/tiny"])
-        assert rc == 0
-        compiled = capsys.readouterr().out
-        assert "compiled plan for gemm/tiny@1 published as version 2" \
-            in compiled
+        assert "gemm" in listing and "table" in listing
 
         rc = main(["models", "--registry", str(registry_dir),
                    "--inspect", "gemm/tiny"])
         assert rc == 0
         inspected = capsys.readouterr().out
-        assert "plan:" in inspected and "fused" in inspected
+        assert "schema:   4" in inspected
+        assert "table:    none" in inspected
 
     def test_serve_rejects_missing_shape_file(self, tmp_path, capsys):
         out = tmp_path / "install"
@@ -295,7 +270,7 @@ class TestFleetCli:
         with pytest.raises(SystemExit):
             build_parser().parse_args(
                 ["models", "--registry", "reg", "--gc", "2",
-                 "--compile", "gemm/tiny"])
+                 "--compile-table", "gemm/tiny"])
 
     def test_serve_workers_validation(self, tmp_path, capsys):
         trace = tmp_path / "t.txt"
@@ -351,6 +326,33 @@ class TestFleetCli:
         assert "fleet-2w" in out
         assert "worker-0" in out and "worker-1" in out
         assert "rejected" in out
+
+    def test_serve_per_routine_rows_share_keys(self, tiny_bundle, tmp_path,
+                                               capsys):
+        """Only a routine with a decision table reports table counts;
+        the per-routine table still renders, blank where a routine has
+        none."""
+        import dataclasses
+
+        from repro.train.registry import ModelRegistry
+
+        bundle, _ = tiny_bundle
+        registry_dir = tmp_path / "registry"
+        registry = ModelRegistry(registry_dir)
+        tabled = dataclasses.replace(bundle, table=None)
+        tabled.compile_table(resolution=6)
+        registry.publish(tabled, routine="gemm")
+        gemv = dataclasses.replace(
+            bundle, config=dataclasses.replace(bundle.config, routine="gemv"),
+            table=None)
+        registry.publish(gemv, routine="gemv")
+        trace = tmp_path / "mixed.txt"
+        trace.write_text("64 512 64\ngemv 512 256\n")
+        rc = main(["serve", "--registry", str(registry_dir), "--rate",
+                   "4000", "--requests", "8", str(trace)])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "per-routine traffic" in out and "table_fallbacks" in out
 
     def test_fleet_inspect_end_to_end(self, tiny_bundle, tmp_path, capsys):
         registry_dir = self._registry_with(tiny_bundle, tmp_path)
