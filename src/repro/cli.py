@@ -277,6 +277,8 @@ def cmd_models(args) -> int:
                 print(format_table(selection, title="selection report"))
             return 0
         entries = registry.entries()
+    except BrokenPipeError:
+        raise  # a reader that left early is main()'s to handle
     except (RegistryError, BundleError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

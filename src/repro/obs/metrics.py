@@ -36,6 +36,7 @@ may depend on it without cycles.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import threading
 import time
@@ -57,7 +58,7 @@ def _label_key(labels: Dict[str, str]) -> Tuple:
 
 
 class Reservoir:
-    """Bounded sample store: exact until ``capacity``, Algorithm R after.
+    """Bounded sample store: exact until ``capacity``, Algorithm L after.
 
     Drop-in replacement for the unbounded ``list`` samples the serve
     telemetry used to keep: supports ``append``/``extend``, iteration,
@@ -65,10 +66,16 @@ class Reservoir:
     ``total``, ``minimum`` and ``maximum`` stay exact over every value
     ever observed.  The replacement RNG is seeded, so two processes
     replaying the same stream retain the same subsample.
+
+    Past capacity the sample is kept uniform by Algorithm L (Li, 1994):
+    the reservoir holds the count at which the next observation replaces
+    a retained one, so an append that replaces nothing only compares a
+    counter.  Only replacements draw (three numbers each), and there
+    are about ``capacity * ln(count / capacity)`` of them.
     """
 
     __slots__ = ("capacity", "count", "total", "minimum", "maximum",
-                 "_data", "_rng")
+                 "_data", "_rng", "_log_w", "_next")
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY, seed: int = 0):
         if int(capacity) < 1:
@@ -80,6 +87,11 @@ class Reservoir:
         self.maximum: Optional[float] = None
         self._data: List[float] = []
         self._rng = random.Random(seed)
+        # Algorithm L's running weight W (as log W) and the count of the
+        # next replacing observation.  The draws need no data, so the
+        # first replacement is scheduled here.
+        self._log_w = 0.0
+        self._skip_from(self.capacity)
 
     # -- recording -------------------------------------------------------
     def append(self, value) -> None:
@@ -92,11 +104,25 @@ class Reservoir:
             self.maximum = value
         if len(self._data) < self.capacity:
             self._data.append(value)
-            return
-        # Algorithm R: retained sample stays uniform over all observed.
-        j = self._rng.randrange(self.count)
-        if j < self.capacity:
-            self._data[j] = value
+        elif self.count >= self._next:
+            self._data[self._rng.randrange(self.capacity)] = value
+            self._skip_from(self.count)
+
+    def _skip_from(self, position: int) -> None:
+        """Shrink W, then schedule the next replacement after
+        observation number ``position``."""
+        self._log_w += math.log(self._uniform()) / self.capacity
+        # log(1 - W); expm1 keeps 1 - W accurate while W is near 1.
+        log_keep = math.log(-math.expm1(self._log_w))
+        self._next = position + math.floor(
+            math.log(self._uniform()) / log_keep) + 1
+
+    def _uniform(self) -> float:
+        """A draw from the open interval (0, 1): ``log(0)`` is undefined."""
+        u = self._rng.random()
+        while u == 0.0:
+            u = self._rng.random()
+        return u
 
     def extend(self, values: Iterable) -> None:
         for value in values:

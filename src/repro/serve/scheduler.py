@@ -5,7 +5,9 @@ One :class:`MicroBatcher` task runs per shard.  Its queue carries
 one-slot slab).  It pulls the first slab off the shard queue, then
 keeps collecting until either ``max_batch`` request slots are in hand or
 ``max_wait_ms`` has elapsed since the first one arrived — the
-dynamic-batching idiom of production inference servers.  The collected
+dynamic-batching idiom of production inference servers.  Slabs already
+queued join the forming batch without yielding to the event loop; only
+an empty queue is awaited, and never past the window.  The collected
 batch is fulfilled with **one**
 :meth:`~repro.engine.service.GemmService.run_batch` call, whose thread
 choices are bitwise identical to per-request
@@ -155,7 +157,9 @@ class MicroBatcher:
         reordering).  The first entry is always accepted, so a single
         over-budget request forms a batch of its own.  Each close
         records its reason (``size``/``cost``/``window``/``control``)
-        into telemetry.
+        into telemetry.  An entry already on the queue is taken with
+        ``get_nowait``: ``wait_for`` would build a timer for it and,
+        before Python 3.12, a Task that costs two loop turns.
         """
         size = len(batch[0].specs)
         budget = self.policy.max_batch_cost
@@ -166,11 +170,14 @@ class MicroBatcher:
             if remaining <= 0:
                 self.telemetry.record_close(self.shard, "window")
                 return False, None, None
-            try:
-                item = await asyncio.wait_for(queue.get(), remaining)
-            except asyncio.TimeoutError:
-                self.telemetry.record_close(self.shard, "window")
-                return False, None, None
+            if queue.empty():
+                try:
+                    item = await asyncio.wait_for(queue.get(), remaining)
+                except asyncio.TimeoutError:
+                    self.telemetry.record_close(self.shard, "window")
+                    return False, None, None
+            else:
+                item = queue.get_nowait()
             if item is SHUTDOWN:
                 self.telemetry.record_close(self.shard, "control")
                 return True, None, None

@@ -1,6 +1,7 @@
 """Metrics registry: instruments, reservoirs, collectors, events."""
 
 import gc
+import math
 
 import numpy as np
 import pytest
@@ -83,6 +84,48 @@ class TestReservoir:
     def test_capacity_validation(self):
         with pytest.raises(ValueError, match="capacity"):
             Reservoir(capacity=0)
+
+    def test_draws_only_on_replacements(self):
+        """Past capacity, draws scale with k ln(n/k), not with n."""
+
+        class CountingRng:
+            def __init__(self, rng):
+                self.rng = rng
+                self.calls = {"random": 0, "randrange": 0}
+
+            def random(self):
+                self.calls["random"] += 1
+                return self.rng.random()
+
+            def randrange(self, stop):
+                self.calls["randrange"] += 1
+                return self.rng.randrange(stop)
+
+        k, n = 64, 64_000
+        r = Reservoir(capacity=k)
+        rng = r._rng = CountingRng(r._rng)
+        r.extend(range(n))
+        # One randrange picks the slot each replacement overwrites; two
+        # uniforms then shrink the weight and draw the next skip.
+        replacements = rng.calls["randrange"]
+        assert rng.calls["random"] == 2 * replacements
+        # Observation i > k replaces with probability k / i.
+        expected = sum(k / i for i in range(k + 1, n + 1))
+        assert abs(replacements - expected) <= 5 * math.sqrt(expected)
+        # Algorithm R would have drawn once per observation past k.
+        assert 3 * replacements < (n - k) / 30
+
+    def test_every_position_equally_likely_to_be_retained(self):
+        """Each stream position is retained with probability k / n."""
+        k, n, seeds = 8, 64, 4000
+        hits = np.zeros(n)
+        for seed in range(seeds):
+            r = Reservoir(capacity=k, seed=seed)
+            r.extend(range(n))
+            hits[np.asarray(r, dtype=int)] += 1
+        p = k / n
+        tolerance = 4.5 * math.sqrt(p * (1 - p) / seeds)
+        assert np.abs(hits / seeds - p).max() <= tolerance
 
 
 class TestInstruments:

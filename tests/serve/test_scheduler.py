@@ -79,6 +79,33 @@ class TestBatchFormation:
         assert [r.spec for r in records] == distinct_specs
         assert all(r.n_threads == 8 for r in records)
 
+    def test_queued_entries_join_without_a_task_each(self, make_service,
+                                                     distinct_specs):
+        """Entries already on the queue are taken without a Task each.
+
+        Before Python 3.12, ``asyncio.wait_for`` wraps the ``Queue.get``
+        it is given in a Task (3.12 awaits it inline), so a take through
+        it would show up here once per entry after a batch's first.
+        """
+        server = GemmServer(make_service(), max_batch=16,
+                            max_wait_ms=1000.0)
+        get_tasks = []
+
+        def counting_factory(loop, coro, **kwargs):
+            if getattr(coro, "__qualname__", None) == "Queue.get":
+                get_tasks.append(coro)
+            return asyncio.Task(coro, loop=loop, **kwargs)
+
+        async def run():
+            asyncio.get_running_loop().set_task_factory(counting_factory)
+            async with server:
+                await asyncio.gather(*(server.submit(spec)
+                                       for spec in distinct_specs[:16]))
+
+        asyncio.run(run())
+        assert len(get_tasks) == 0
+        assert server.telemetry.batch_size_histogram() == {16: 1}
+
 
 class TestAdmissionControl:
     def test_hard_limit_rejects_with_overloaded(self, make_service,

@@ -1,5 +1,8 @@
 """CLI commands: install / models / predict / batch / serve / demo."""
 
+import os
+import sys
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -218,6 +221,31 @@ class TestEndToEnd:
         inspected = capsys.readouterr().out
         assert "schema:   4" in inspected
         assert "table:    none" in inspected
+
+    def test_models_into_closed_pipe_exits_zero(self, tiny_bundle, tmp_path,
+                                                capsys, monkeypatch):
+        """A reader that leaves early (``| grep -q``) is not an error."""
+        from repro.train.registry import ModelRegistry
+
+        bundle, _ = tiny_bundle
+        registry_dir = tmp_path / "registry"
+        ModelRegistry(registry_dir).publish(bundle, routine="gemm")
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        # Line-buffered, so the first print reaches the closed pipe.
+        stdout = os.fdopen(write_end, "w", buffering=1)
+        monkeypatch.setattr(sys, "stdout", stdout)
+        try:
+            rc = main(["models", "--registry", str(registry_dir),
+                       "--inspect", "gemm/tiny"])
+        finally:
+            monkeypatch.undo()
+            try:
+                stdout.close()
+            except BrokenPipeError:  # main() left it on the closed pipe
+                pass
+        assert rc == 0
+        assert "error" not in capsys.readouterr().err
 
     def test_serve_rejects_missing_shape_file(self, tmp_path, capsys):
         out = tmp_path / "install"
