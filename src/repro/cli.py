@@ -622,6 +622,8 @@ def cmd_serve(args) -> int:
                             max_batch_cost=args.cost_budget,
                             max_queue=args.max_queue,
                             tracing=tracing)
+    except BrokenPipeError:
+        raise  # a reader that left early is main()'s to handle
     except (OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

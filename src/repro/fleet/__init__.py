@@ -4,7 +4,7 @@ One :class:`FleetServer` process owns admission and routing; each
 worker process (built from a spawn-safe :class:`WorkerSpec`) runs a
 full micro-batching :class:`~repro.serve.server.GemmServer` over its
 own registry-loaded :class:`~repro.engine.service.GemmService`.
-Requests cross worker pipes as slab-framed messages; the registry's
+Requests cross worker sockets as slab-framed messages; the registry's
 ``latest`` refs are the rollout control plane (watchers hot-reload on
 publish; :meth:`FleetServer.rollout` is the managed
 canary-then-promote path).

@@ -11,12 +11,14 @@ drives a fleet unchanged.
 Request flow is the shared :class:`~repro.serve.front.Front` path: a
 burst routes over the alive workers (least-loaded by live in-flight
 counts, or consistent-hash for cache affinity), is admitted
-all-or-nothing against ``max_pending``, then crosses each worker's pipe
-as ``max_batch``-sized :class:`~repro.fleet.transport.SlabFrame`
-messages — one reply future per slab, not per request.  Each worker has
-one writer task draining its outbox into the pipe in the default
-executor (ordered per worker, concurrent across workers, never blocking
-the loop) and one reader task resolving futures as frames come back.
+all-or-nothing against ``max_pending``, then crosses each worker's
+socket as ``max_batch``-sized :class:`~repro.fleet.transport.SlabFrame`
+messages — one reply future per slab, not per request.  Each worker's
+end of the socket pair runs on the front's event loop: every frame is
+written synchronously, in call order, when it is handed over (the
+transport buffers what the socket cannot take yet, and ``max_pending``
+bounds that), and one reader task resolves futures as frames come back.
+No frame crosses a thread.
 
 A worker death fans :class:`WorkerFailed` out to exactly the requests
 that were on that worker, removes it from the routing ring, and leaves
@@ -37,13 +39,14 @@ from __future__ import annotations
 
 import asyncio
 import multiprocessing as mp
+import socket
 
 from repro.fleet.spec import WorkerSpec
 from repro.fleet.telemetry import FleetTelemetry
 from repro.fleet.transport import (ErrorFrame, ReadyFrame, ReloadedFrame,
                                    ReloadFrame, ResultFrame, SlabFrame,
                                    StatsFrame, StatsReply, StopFrame,
-                                   StoppedFrame)
+                                   StoppedFrame, encode, read_frame)
 from repro.fleet.worker import worker_main
 from repro.serve.front import Front
 from repro.serve.request import ServerOverloaded
@@ -66,7 +69,7 @@ class _Worker:
     def reset(self) -> None:
         """Forget the previous incarnation before a (re)spawn."""
         self.process = None
-        self.conn = None
+        self.writer = None          # asyncio.StreamWriter to the worker
         self.pid = None
         self.alive = False
         self.dead_handled = False   # _on_death ran for this incarnation
@@ -76,9 +79,7 @@ class _Worker:
         self.cost_in_flight = 0.0   # outstanding predicted FLOPs
         self.versions: dict = {}
         self.final_stats = None
-        self.reader = None
-        self.writer = None
-        self.outbox = None          # asyncio.Queue, created at spawn time
+        self.reader = None          # the task reading the worker's frames
 
 
 class FleetServer(Front):
@@ -198,71 +199,70 @@ class FleetServer(Front):
 
     async def _spawn(self, worker: _Worker) -> None:
         """Spawn one worker and wait for its :class:`ReadyFrame`."""
-        loop = asyncio.get_running_loop()
         ctx = mp.get_context("spawn")
-        parent_conn, child_conn = ctx.Pipe(duplex=True)
+        front_end, worker_end = socket.socketpair()
         process = ctx.Process(target=worker_main,
-                              args=(worker.spec, child_conn),
+                              args=(worker.spec, worker_end),
                               name=f"fleet-{worker.spec.name}", daemon=True)
-        process.start()
-        child_conn.close()  # child end lives in the child now
         try:
-            ready = await asyncio.wait_for(
-                loop.run_in_executor(None, parent_conn.recv),
-                timeout=self.spawn_timeout_s)
+            process.start()
+        except BaseException:
+            front_end.close()
+            raise
+        finally:
+            worker_end.close()  # the worker's end lives in the worker now
+        reader, writer = await asyncio.open_connection(sock=front_end)
+        try:
+            ready = await asyncio.wait_for(read_frame(reader),
+                                           timeout=self.spawn_timeout_s)
         except (EOFError, OSError, asyncio.TimeoutError) as exc:
             process.terminate()
-            parent_conn.close()
+            writer.close()
             raise WorkerFailed(
                 f"worker {worker.spec.name!r} died during startup "
                 f"(exitcode {process.exitcode}): {exc!r}") from exc
         if not isinstance(ready, ReadyFrame):
             process.terminate()
-            parent_conn.close()
+            writer.close()
             raise WorkerFailed(f"worker {worker.spec.name!r} sent "
                                f"{type(ready).__name__} instead of ready")
         worker.reset()
-        worker.process, worker.conn = process, parent_conn
+        worker.process, worker.writer = process, writer
         worker.pid = ready.pid
         worker.versions = dict(ready.versions)
         worker.alive = True
-        worker.outbox = asyncio.Queue()
-        worker.reader = asyncio.ensure_future(self._read_loop(worker))
-        worker.writer = asyncio.ensure_future(self._write_loop(worker))
+        worker.reader = asyncio.ensure_future(self._read_loop(worker,
+                                                              reader))
 
-    async def _read_loop(self, worker: _Worker) -> None:
-        loop = asyncio.get_running_loop()
-        conn = worker.conn
+    async def _read_loop(self, worker: _Worker, reader) -> None:
         try:
             while True:
                 try:
-                    frame = await loop.run_in_executor(None, conn.recv)
+                    frame = await read_frame(reader)
                 except (EOFError, OSError):
                     break
                 self._dispatch(worker, frame)
         finally:
             self._on_death(worker)
 
-    async def _write_loop(self, worker: _Worker) -> None:
-        """Send the worker's outbox down its pipe, in order.
+    def _send(self, worker: _Worker, frame) -> None:
+        """Write one frame to the worker's socket, now, in call order.
 
-        Sends run in the default executor, so the loop never blocks and
-        different workers' sends overlap.  A frame on the outbox always
-        reaches the pipe — no caller's cancellation can stop it halfway
-        — or fails with the worker.
+        The write never waits: the transport buffers whatever the socket
+        cannot take yet, and admission (``max_pending``) bounds that.  So
+        a handed-over frame has arrived, for the front's purposes; if the
+        socket is gone, the reader sees it and :meth:`_on_death` fails
+        every entry pending on the worker.  A frame that does not pickle
+        fails its own entry only.
         """
-        loop = asyncio.get_running_loop()
-        while True:
-            frame = await worker.outbox.get()
-            try:
-                await loop.run_in_executor(None, worker.conn.send, frame)
-            except (OSError, ValueError):  # the pipe is gone
-                self._on_death(worker)
-                return
-            except Exception as exc:  # noqa: BLE001 - e.g. an unpicklable spec
-                entry = self._settle(worker, getattr(frame, "msg_id", None))
-                if entry is not None:
-                    self._fail(worker, entry, exc)
+        try:
+            data = encode(frame)
+        except Exception as exc:  # noqa: BLE001 - e.g. an unpicklable spec
+            entry = self._settle(worker, getattr(frame, "msg_id", None))
+            if entry is not None:
+                self._fail(worker, entry, exc)
+            return
+        worker.writer.write(data)
 
     def _dispatch(self, worker: _Worker, frame) -> None:
         if isinstance(frame, ResultFrame):
@@ -309,7 +309,7 @@ class FleetServer(Front):
                             f"{frame.message}")
 
     def _on_death(self, worker: _Worker) -> None:
-        """Bookkeeping when a worker's pipe goes quiet (crash or stop)."""
+        """Bookkeeping when a worker's socket goes quiet (crash or stop)."""
         if worker.dead_handled:
             return
         worker.dead_handled = True
@@ -320,8 +320,7 @@ class FleetServer(Front):
             self._fail(worker, self._settle(worker, msg_id), WorkerFailed(
                 f"worker {worker.spec.name!r} died with the request "
                 f"in flight"))
-        if worker.writer is not None:
-            worker.writer.cancel()
+        worker.writer.close()
         remove = getattr(self.router, "remove", None)
         if remove is not None:
             try:
@@ -359,7 +358,7 @@ class FleetServer(Front):
         self._closing = True
         loop = asyncio.get_running_loop()
         for worker in self._alive():
-            worker.outbox.put_nowait(StopFrame())
+            self._send(worker, StopFrame())
         readers = [w.reader for w in self._workers.values()
                    if w.reader is not None]
         if readers:
@@ -376,8 +375,12 @@ class FleetServer(Front):
                 if process.is_alive():  # pragma: no cover - stuck worker
                     process.kill()
                     await loop.run_in_executor(None, process.join, 5.0)
-            if worker.conn is not None:
-                worker.conn.close()
+            if worker.writer is not None:
+                worker.writer.close()
+                try:
+                    await worker.writer.wait_closed()
+                except OSError:
+                    pass  # the worker's end broke first; closed all the same
             worker.alive = False
         self._closed = True
 
@@ -403,11 +406,10 @@ class FleetServer(Front):
 
     def _deliver(self, worker, name, specs, routines, cost, client, future,
                  trace_id) -> None:
-        """Register the slab's msg_id and queue its frame for the pipe."""
+        """Register the slab's msg_id and write its frame to the worker."""
         msg_id = self._register(worker, future, len(specs), cost, client)
         self.telemetry.record_dispatch(name, len(specs))
-        worker.outbox.put_nowait(SlabFrame(msg_id, tuple(specs),
-                                           client=client))
+        self._send(worker, SlabFrame(msg_id, tuple(specs), client=client))
 
     def _register(self, worker: _Worker, future, n_slots: int = 0,
                   cost: float = 0.0, client: str = None) -> int:
@@ -465,7 +467,7 @@ class FleetServer(Front):
 
         Routing is one ``route_batch`` call over the alive workers;
         admission is all-or-nothing against ``max_pending``; each
-        worker's share crosses the pipe as ``max_batch``-sized slab
+        worker's share crosses its socket as ``max_batch``-sized slab
         frames.  If any slab fails (worker death, worker-side error)
         the first failure is raised after every slab has settled.
         """
@@ -491,8 +493,7 @@ class FleetServer(Front):
         for target in targets:
             future = loop.create_future()
             msg_id = self._register(target, future)
-            target.outbox.put_nowait(ReloadFrame(msg_id, str(routine),
-                                                 version))
+            self._send(target, ReloadFrame(msg_id, str(routine), version))
             acks[target.spec.name] = future
         out = {}
         for name, future in acks.items():
@@ -575,8 +576,7 @@ class FleetServer(Front):
         futures = {}
         for target in self._alive():
             future = loop.create_future()
-            target.outbox.put_nowait(StatsFrame(self._register(target,
-                                                               future)))
+            self._send(target, StatsFrame(self._register(target, future)))
             futures[target.spec.name] = future
         return {name: await asyncio.wait_for(future, self.stats_timeout_s)
                 for name, future in futures.items()}

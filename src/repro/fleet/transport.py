@@ -1,13 +1,16 @@
 """Wire format between the fleet front and its worker processes.
 
-Everything crossing a worker pipe is one of the small frame dataclasses
-below, pickled by ``multiprocessing.Connection`` itself.  Requests are
-**slab-framed**: the front chops each routed burst with
-:func:`chunk_slots` into ``max_batch``-sized :class:`SlabFrame`
-messages — the same chunk size the worker's own
+Everything crossing a worker's socket is one of the small frame
+dataclasses below, written as a 4-byte big-endian length followed by
+the frame's pickle (:func:`encode`) and read back whole by
+:func:`read_frame`.  Both ends run the stream on their event loop: the
+front and the worker share these two functions and no thread touches
+the socket.  Requests are **slab-framed**: the front chops each routed
+burst with :func:`chunk_slots` into ``max_batch``-sized
+:class:`SlabFrame` messages — the same chunk size the worker's own
 :meth:`~repro.serve.server.GemmServer.submit_many` turns into one
 :class:`~repro.serve.request.SlabRequest` queue entry — so a
-256-request burst crosses the pipe as ~16 messages with one reply
+256-request burst crosses the socket as ~16 messages with one reply
 future each, not 256, and lands in the worker as ready-made
 micro-batches.
 
@@ -19,10 +22,32 @@ worker originates on its own (registry-watch reloads, the final
 
 from __future__ import annotations
 
+import pickle
+import struct
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from repro.serve.front import chunk_slots  # noqa: F401 - frame sizing
+
+_LENGTH = struct.Struct("!I")
+
+
+def encode(frame) -> bytes:
+    """``frame`` as it goes on the wire: its pickle's length, then the
+    pickle.  Raises whatever pickling raises (an unpicklable spec)."""
+    body = pickle.dumps(frame)
+    return _LENGTH.pack(len(body)) + body
+
+
+async def read_frame(reader):
+    """Read the next whole frame from an ``asyncio.StreamReader``.
+
+    Raises ``EOFError`` (``asyncio.IncompleteReadError``) once the peer
+    has closed, also when it closed partway through a frame.
+    """
+    (size,) = _LENGTH.unpack(await reader.readexactly(_LENGTH.size))
+    return pickle.loads(await reader.readexactly(size))
+
 
 # -- front -> worker -----------------------------------------------------
 

@@ -1,23 +1,26 @@
-"""Fleet worker process: a full ``GemmServer`` behind a duplex pipe.
+"""Fleet worker process: a full ``GemmServer`` behind a socket stream.
 
 ``worker_main`` is the spawn target.  Inside its own interpreter the
 worker rebuilds everything from its :class:`~repro.fleet.spec.WorkerSpec`
-(service from the registry, micro-batching server over it), then loops
-on the pipe: slab frames become ``submit_many`` bursts (each one
-arriving pre-chunked to ``max_batch``, so it lands as exactly one
-:class:`~repro.serve.request.SlabRequest` queue entry), reload frames
-go through the server's FIFO :class:`~repro.serve.request.ReloadCommand`
-path (zero-downtime by queue ordering), and stats frames snapshot the
-server.  With ``watch_interval_s`` set, a background task polls the
-registry's ``latest`` refs and hot-reloads changed cells on its own,
-notifying the front with an unsolicited ``ReloadedFrame`` — publishing
-to the registry *is* the rollout trigger.
+(service from the registry, micro-batching server over it), then reads
+frames off its end of the front's socket pair: slab frames become
+``submit_many`` bursts (each one arriving pre-chunked to ``max_batch``,
+so it lands as exactly one :class:`~repro.serve.request.SlabRequest`
+queue entry), reload frames go through the server's FIFO
+:class:`~repro.serve.request.ReloadCommand` path (zero-downtime by queue
+ordering), and stats frames snapshot the server.  With
+``watch_interval_s`` set, a background task polls the registry's
+``latest`` refs and hot-reloads changed cells on its own, notifying the
+front with an unsolicited ``ReloadedFrame`` — publishing to the
+registry *is* the rollout trigger.
 
-Pipe reads run in the default executor (``Connection.recv`` blocks);
-every ``send`` happens on the event-loop thread, so frames never
-interleave.  On ``StopFrame`` (or pipe EOF) the worker drains its
-in-flight slabs, closes the server — FIFO drain, nothing dropped —
-and sends a final ``StoppedFrame`` carrying its lifetime statistics.
+The socket runs on the worker's event loop: frames are read with
+:func:`~repro.fleet.transport.read_frame` and every reply is one
+synchronous write of a whole encoded frame, so frames never interleave
+and no thread touches the socket.  On ``StopFrame`` (or EOF) the worker
+drains its in-flight slabs, closes the server — FIFO drain, nothing
+dropped — and writes a final ``StoppedFrame`` carrying its lifetime
+statistics, flushed before the process exits.
 """
 
 from __future__ import annotations
@@ -28,33 +31,37 @@ import os
 from repro.fleet.transport import (ErrorFrame, ReadyFrame, ReloadedFrame,
                                    ReloadFrame, ResultFrame, SlabFrame,
                                    StatsFrame, StatsReply, StopFrame,
-                                   StoppedFrame)
+                                   StoppedFrame, encode, read_frame)
 
 
-def worker_main(spec, conn) -> None:
-    """Process entry point: serve until stopped, then exit cleanly."""
+def worker_main(spec, sock) -> None:
+    """Process entry point: serve until stopped, then exit cleanly.
+
+    ``sock`` is the worker's end of the front's ``socket.socketpair()``.
+    """
     try:
-        asyncio.run(_serve(spec, conn))
-    except (EOFError, OSError, BrokenPipeError):
+        asyncio.run(_serve(spec, sock))
+    except (EOFError, OSError):
         pass  # front went away; nothing left to report to
     finally:
-        try:
-            conn.close()
-        except OSError:  # pragma: no cover - already closed
-            pass
+        sock.close()
 
 
-async def _serve(spec, conn) -> None:
+async def _serve(spec, sock) -> None:
     from repro.train.registry import ModelRegistry
 
     service, versions = spec.build_service()
     server = spec.build_server(service)
     versions = dict(versions)   # routine -> version serving now
     registry = ModelRegistry(spec.registry_root)
+    reader, writer = await asyncio.open_connection(sock=sock)
+
+    def send(frame) -> None:
+        writer.write(encode(frame))
+
     await server.start()
-    conn.send(ReadyFrame(worker=spec.name, pid=os.getpid(),
-                         versions=tuple(sorted(versions.items()))))
-    loop = asyncio.get_running_loop()
+    send(ReadyFrame(worker=spec.name, pid=os.getpid(),
+                    versions=tuple(sorted(versions.items()))))
     tasks: set = set()
 
     def _track(coro) -> None:
@@ -65,50 +72,48 @@ async def _serve(spec, conn) -> None:
     watcher_task = None
     if spec.watch_interval_s:
         watcher_task = asyncio.ensure_future(
-            _watch_registry(spec, registry, server, versions, conn))
+            _watch_registry(spec, registry, server, versions, send))
     try:
         while True:
             try:
-                frame = await loop.run_in_executor(None, conn.recv)
+                frame = await read_frame(reader)
             except (EOFError, OSError):
                 break
             if isinstance(frame, StopFrame):
                 break
             if isinstance(frame, SlabFrame):
-                _track(_serve_slab(server, conn, frame))
+                _track(_serve_slab(server, send, frame))
             elif isinstance(frame, ReloadFrame):
                 _track(_apply_reload(spec, registry, server, versions,
-                                     conn, frame))
+                                     send, frame))
             elif isinstance(frame, StatsFrame):
-                conn.send(StatsReply(frame.msg_id,
-                                     _stats(spec, server, versions)))
+                send(StatsReply(frame.msg_id,
+                                _stats(spec, server, versions)))
             else:
-                conn.send(ErrorFrame(None,
-                                     f"unknown frame {type(frame).__name__}",
-                                     kind="TypeError"))
+                send(ErrorFrame(None,
+                                f"unknown frame {type(frame).__name__}",
+                                kind="TypeError"))
     finally:
         if watcher_task is not None:
             watcher_task.cancel()
         if tasks:
             await asyncio.gather(*tasks, return_exceptions=True)
         await server.close()
-    try:
-        conn.send(StoppedFrame(stats=_stats(spec, server, versions)))
-    except (OSError, BrokenPipeError):
-        pass
+    send(StoppedFrame(stats=_stats(spec, server, versions)))
+    writer.close()  # flushes what the transport still buffers
+    await writer.wait_closed()
 
 
-async def _serve_slab(server, conn, frame) -> None:
+async def _serve_slab(server, send, frame) -> None:
     try:
         records = await server.submit_many(list(frame.specs),
                                            client=frame.client)
-        conn.send(ResultFrame(frame.msg_id, tuple(records)))
+        send(ResultFrame(frame.msg_id, tuple(records)))
     except BaseException as exc:  # noqa: BLE001 - report, don't die
-        conn.send(ErrorFrame(frame.msg_id, str(exc),
-                             kind=type(exc).__name__))
+        send(ErrorFrame(frame.msg_id, str(exc), kind=type(exc).__name__))
 
 
-async def _apply_reload(spec, registry, server, versions, conn,
+async def _apply_reload(spec, registry, server, versions, send,
                         frame) -> None:
     try:
         bundle = registry.load(frame.routine, spec.machine,
@@ -118,14 +123,13 @@ async def _apply_reload(spec, registry, server, versions, conn,
                                    frame.version).version
         versions[frame.routine] = version
         generation = max(s.get("generation", 0) for s in summary.values())
-        conn.send(ReloadedFrame(frame.msg_id, frame.routine, version,
-                                generation=generation))
+        send(ReloadedFrame(frame.msg_id, frame.routine, version,
+                           generation=generation))
     except BaseException as exc:  # noqa: BLE001 - old bundle keeps serving
-        conn.send(ErrorFrame(frame.msg_id, str(exc),
-                             kind=type(exc).__name__))
+        send(ErrorFrame(frame.msg_id, str(exc), kind=type(exc).__name__))
 
 
-async def _watch_registry(spec, registry, server, versions, conn) -> None:
+async def _watch_registry(spec, registry, server, versions, send) -> None:
     """Poll ``latest`` refs; hot-reload and notify on every change."""
     watcher = registry.watch(
         [(routine, spec.machine) for routine in versions],
@@ -151,8 +155,8 @@ async def _watch_registry(spec, registry, server, versions, conn) -> None:
             versions[record.routine] = record.version
             generation = max(s.get("generation", 0)
                              for s in summary.values())
-            conn.send(ReloadedFrame(None, record.routine, record.version,
-                                    generation=generation))
+            send(ReloadedFrame(None, record.routine, record.version,
+                               generation=generation))
 
 
 def _stats(spec, server, versions) -> dict:

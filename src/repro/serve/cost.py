@@ -15,7 +15,7 @@ a single pricing surface:
   window;
 * slab framing — the server front
   (:func:`~repro.serve.front.chunk_slots`) chops a routed burst on the
-  same budget, so slabs crossing a fleet pipe are cost-balanced, not
+  same budget, so slabs crossing to a fleet worker are cost-balanced, not
   merely count-balanced;
 * routing — :class:`~repro.serve.router.CostAwareLeastLoadedRouter`
   weights a worker's in-flight load by outstanding predicted FLOPs, so

@@ -5,7 +5,7 @@ A front accepts bursts of requests and hands them to named shards as
 :class:`~repro.serve.server.GemmServer` (a shard is an asyncio queue
 drained by a :class:`~repro.serve.scheduler.MicroBatcher`) and
 :class:`~repro.fleet.server.FleetServer` (a shard is a worker process
-behind a pipe) are both fronts.  They differ only in how one slab
+behind a socket) are both fronts.  They differ only in how one slab
 reaches a shard; :meth:`Front._serve` does every other step, once:
 
 1. check that the front is open;

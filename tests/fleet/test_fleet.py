@@ -8,6 +8,7 @@ into shared scenarios rather than paying a spawn per claim.
 import asyncio
 import os
 import signal
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -46,6 +47,18 @@ def make_fleet(registry_root, workers=2, **kwargs):
         routines=("gemm", "gemv"), **kwargs)
 
 
+class CountingExecutor(ThreadPoolExecutor):
+    """A default executor that counts the calls the event loop hands it."""
+
+    def __init__(self):
+        super().__init__()
+        self.submitted = 0
+
+    def submit(self, *args, **kwargs):
+        self.submitted += 1
+        return super().submit(*args, **kwargs)
+
+
 def versions(fleet, routine="gemm") -> dict:
     """Each worker's loaded version of ``routine``, from public stats."""
     return {name: entry["versions"].get(routine)
@@ -78,8 +91,8 @@ class TestFleetServing:
                 class Local:  # a local class does not pickle
                     pass
 
-                # A frame that cannot cross the pipe fails its own
-                # request only; the worker's pipe keeps working (the
+                # A frame that cannot cross the socket fails its own
+                # request only; the worker's socket keeps working (the
                 # stats round trip below).
                 with pytest.raises(AttributeError, match="pickle"):
                     await fleet.submit(Local(), worker="worker-0")
@@ -281,6 +294,57 @@ class TestFleetServing:
             assert entry["in_flight"] == 0
             assert entry["cost_in_flight"] == 0.0
         assert [r.spec for r in records] == specs
+
+    def test_burst_makes_no_executor_submissions(self, fleet_registry):
+        """A burst's frames are written and read on the event loop: no
+        thread-pool hop per frame, on the way out or back."""
+        specs = mixed_specs(256)
+
+        async def scenario():
+            executor = CountingExecutor()
+            asyncio.get_running_loop().set_default_executor(executor)
+            fleet = make_fleet(fleet_registry, registry=MetricsRegistry())
+            async with fleet:
+                await fleet.submit_many(specs)  # warm the workers
+                submitted = executor.submitted
+                frames = fleet.stats()["frames"]
+                records = await fleet.submit_many(specs)
+                hops = executor.submitted - submitted
+                frames = fleet.stats()["frames"] - frames
+            return hops, frames, records
+
+        hops, frames, records = run(scenario())
+        assert [r.spec for r in records] == specs
+        assert frames == 16  # 2 workers x 128 slots / max_batch 16
+        assert hops == 0
+
+    def test_send_to_a_dead_worker_fails_only_its_request(self,
+                                                          fleet_registry):
+        """A frame written to a worker that died before its reader saw
+        EOF fails with ``WorkerFailed``, leaks no admission slot or
+        in-flight count, and leaves the survivor serving."""
+
+        async def scenario():
+            fleet = make_fleet(fleet_registry, registry=MetricsRegistry())
+            async with fleet:
+                await fleet.submit_many(mixed_specs(6))
+                victim = fleet._workers["worker-0"].process
+                victim.kill()
+                victim.join(10.0)  # blocks the loop: no EOF read yet
+                assert not victim.is_alive()
+                with pytest.raises(WorkerFailed):
+                    await fleet.submit(GemmSpec(64, 64, 64),
+                                       worker="worker-0")
+                stats = fleet.stats()
+                survivors = await fleet.submit_many(mixed_specs(9))
+            return stats, survivors
+
+        stats, survivors = run(scenario())
+        assert stats["pending"] == 0
+        assert stats["workers"]["worker-0"]["in_flight"] == 0
+        assert stats["workers"]["worker-0"]["cost_in_flight"] == 0.0
+        assert not stats["workers"]["worker-0"]["alive"]
+        assert all(r is not None for r in survivors)
 
 
 class TestFleetConstruction:

@@ -8,6 +8,23 @@ import pytest
 from repro.cli import build_parser, main
 
 
+def main_into_closed_pipe(argv, monkeypatch) -> int:
+    """``main(argv)`` with stdout on a pipe whose reader already left."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    # Line-buffered, so the first print reaches the closed pipe.
+    stdout = os.fdopen(write_end, "w", buffering=1)
+    monkeypatch.setattr(sys, "stdout", stdout)
+    try:
+        return main(argv)
+    finally:
+        monkeypatch.undo()
+        try:
+            stdout.close()
+        except BrokenPipeError:  # main() left it on the closed pipe
+            pass
+
+
 class TestParser:
     def test_install_args(self):
         args = build_parser().parse_args(
@@ -230,20 +247,8 @@ class TestEndToEnd:
         bundle, _ = tiny_bundle
         registry_dir = tmp_path / "registry"
         ModelRegistry(registry_dir).publish(bundle, routine="gemm")
-        read_end, write_end = os.pipe()
-        os.close(read_end)
-        # Line-buffered, so the first print reaches the closed pipe.
-        stdout = os.fdopen(write_end, "w", buffering=1)
-        monkeypatch.setattr(sys, "stdout", stdout)
-        try:
-            rc = main(["models", "--registry", str(registry_dir),
-                       "--inspect", "gemm/tiny"])
-        finally:
-            monkeypatch.undo()
-            try:
-                stdout.close()
-            except BrokenPipeError:  # main() left it on the closed pipe
-                pass
+        rc = main_into_closed_pipe(["models", "--registry", str(registry_dir),
+                                    "--inspect", "gemm/tiny"], monkeypatch)
         assert rc == 0
         assert "error" not in capsys.readouterr().err
 
@@ -381,6 +386,21 @@ class TestFleetCli:
         assert rc == 0
         out = capsys.readouterr().out
         assert "per-routine traffic" in out and "table_fallbacks" in out
+
+    def test_serve_fleet_into_closed_pipe_exits_zero(self, tiny_bundle,
+                                                     tmp_path, capsys,
+                                                     monkeypatch):
+        """``serve --workers N | grep -q ...``: a reader that leaves early
+        is not an error."""
+        registry_dir = self._registry_with(tiny_bundle, tmp_path)
+        trace = tmp_path / "mixed.txt"
+        trace.write_text("64 512 64\ngemv 512 256\n")
+        rc = main_into_closed_pipe(["serve", "--registry", str(registry_dir),
+                                    "--workers", "2", "--rate", "4000",
+                                    "--requests", "8", str(trace)],
+                                   monkeypatch)
+        assert rc == 0
+        assert "error" not in capsys.readouterr().err
 
     def test_fleet_inspect_end_to_end(self, tiny_bundle, tmp_path, capsys):
         registry_dir = self._registry_with(tiny_bundle, tmp_path)
