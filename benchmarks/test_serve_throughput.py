@@ -715,8 +715,11 @@ class _CostProportionalBackend:
     so a light request stuck in a batch with heavy GEMMs pays their
     wall time, and the cost-budgeted scheduler's win is measurable.
     The *returned* runtime stays a pure function of the spec, keeping
-    records bitwise-comparable across modes.
+    records bitwise-comparable across modes.  It sleeps, so it declares
+    ``blocking``: the server runs its batches off the event loop.
     """
+
+    blocking = True
 
     def __init__(self, thread_grid, seconds_per_flop: float):
         import numpy as _np

@@ -49,7 +49,11 @@ class CpuBoundBackend:
         BLAS kernel would.  Unlike the spin, this component parallelises
         across worker *processes* regardless of how many cores the host
         granting the benchmark has — the right knob when measuring fleet
-        scaling inside a CPU-quota'd container.
+        scaling inside a CPU-quota'd container.  With ``sleep_s > 0``
+        the backend declares itself ``blocking`` (see
+        :class:`~repro.engine.backend.ExecutionBackend`), so a server
+        sleeps its batches off the event loop; a pure spin computes in
+        Python and runs on the loop.
     """
 
     def __init__(self, thread_grid=(1, 2, 4, 8, 12, 16),
@@ -65,6 +69,11 @@ class CpuBoundBackend:
             raise ValueError("sleep_s must be >= 0")
         self.name = str(name)
         self.n_calls = 0
+
+    @property
+    def blocking(self) -> bool:
+        """Whether ``timed_run`` sleeps (waits with the GIL released)."""
+        return self.sleep_s > 0
 
     def timed_run(self, spec, n_threads: int, repeats: int = 1) -> float:
         acc = 1.0

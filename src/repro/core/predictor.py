@@ -33,22 +33,26 @@ import numpy as np
 
 from repro.core.features import FeatureBuilder
 from repro.engine.cache import PredictionCache, shape_key
+from repro.obs.metrics import skip_ahead
 
 #: Default size of the per-predictor fallback-shape reservoir.
 RESERVOIR_CAPACITY = 256
 
 
 class ShapeReservoir:
-    """Bounded uniform sample of observed shapes (Vitter's Algorithm R).
+    """Bounded uniform sample of observed shapes (Li's Algorithm L).
 
     The serving path records every table fallback here; the reservoir
     keeps a uniform random sample of *at most* ``capacity`` of them, in
     O(capacity) memory no matter how long the server runs.  The RNG is
     seeded, so the same miss stream always yields the same reservoir —
-    lattice refinement driven from it is reproducible.
+    lattice refinement driven from it is reproducible.  Past capacity
+    it follows the skip schedule of :class:`repro.obs.metrics.Reservoir`
+    (:func:`~repro.obs.metrics.skip_ahead`): an offer that replaces
+    nothing only compares a counter and draws no random number.
     """
 
-    __slots__ = ("capacity", "seen", "_items", "_rng")
+    __slots__ = ("capacity", "seen", "_items", "_rng", "_log_w", "_next")
 
     def __init__(self, capacity: int = RESERVOIR_CAPACITY, seed: int = 0):
         if capacity < 1:
@@ -57,17 +61,21 @@ class ShapeReservoir:
         self.seen = 0
         self._items = []
         self._rng = random.Random(seed)
+        self._log_w, self._next = skip_ahead(self._rng, self.capacity, 0.0,
+                                             self.capacity)
 
     def add(self, shape) -> None:
         """Offer one ``(m, k, n)`` triple to the sample."""
-        item = tuple(int(v) for v in shape)
         self.seen += 1
         if len(self._items) < self.capacity:
-            self._items.append(item)
-            return
-        j = self._rng.randrange(self.seen)
-        if j < self.capacity:
-            self._items[j] = item
+            m, k, n = shape
+            self._items.append((int(m), int(k), int(n)))
+        elif self.seen >= self._next:
+            m, k, n = shape
+            self._items[self._rng.randrange(self.capacity)] = (
+                int(m), int(k), int(n))
+            self._log_w, self._next = skip_ahead(
+                self._rng, self.capacity, self._log_w, self.seen)
 
     def shapes(self) -> list:
         """The current sample, as a list of ``(m, k, n)`` tuples."""

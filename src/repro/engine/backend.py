@@ -30,6 +30,19 @@ class ExecutionBackend(Protocol):
 
     ``spec`` is opaque to the engine: any object with a ``dims`` triple
     (for feature building) that the backend knows how to execute.
+
+    A backend may also carry a boolean ``blocking`` attribute, which is
+    not a protocol member, so backends without it still conform.  Set
+    it to ``True`` when ``timed_run`` waits outside the interpreter with
+    the GIL released: a real GEMM thread team, a BLAS call, a sleep.
+    A missing attribute means ``False``: ``timed_run`` computes its
+    runtime in Python (simulators, routine oracles, replay tables).
+    The serving scheduler reads it per batch: it runs a non-blocking
+    shard's :meth:`~repro.engine.service.GemmService.run_batch` on its
+    event loop, and a blocking one's in the loop's default executor so
+    that the wait leaves the loop free.  A backend that blocks but does
+    not declare it stalls the loop, and every other shard and
+    admission on it, for the whole of each batch it runs.
     """
 
     name: str
@@ -77,6 +90,11 @@ class TimedRunBackend:
                             else _default_grid(machine))
         self.name = name or getattr(machine, "name", type(machine).__name__)
 
+    @property
+    def blocking(self) -> bool:
+        """Whether the wrapped machine declares that it blocks."""
+        return bool(getattr(self.machine, "blocking", False))
+
     def timed_run(self, spec, n_threads: int, repeats: int = 1, **kw) -> float:
         return self.machine.timed_run(spec, n_threads, repeats=repeats, **kw)
 
@@ -115,8 +133,11 @@ class ParallelExecutionBackend:
 
     Runs genuine thread teams on the host (numpy's matmul releases the
     GIL), caching executors per thread count and operands per shape so
-    repeated timings measure the GEMM, not allocation.
+    repeated timings measure the GEMM, not allocation.  It declares
+    itself ``blocking``: its ``timed_run`` waits on those teams.
     """
+
+    blocking = True
 
     def __init__(self, thread_grid=None, max_threads: int = None,
                  blocks=None, seed: int = 0):
@@ -227,6 +248,16 @@ class BackendDispatcher:
 
     def timed_run(self, spec, n_threads: int, repeats: int = 1) -> float:
         return self.backend_for(spec).timed_run(spec, n_threads, repeats=repeats)
+
+    @property
+    def blocking(self) -> bool:
+        """Whether any registered backend declares that it blocks.
+
+        Read per batch, so a blocking backend registered while a server
+        runs takes effect from the next batch on.
+        """
+        return any(getattr(backend, "blocking", False)
+                   for backend in self.backends)
 
     @property
     def backends(self) -> list:

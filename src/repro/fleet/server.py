@@ -105,7 +105,9 @@ class FleetServer(Front):
         names are worker names.
     max_pending:
         Fleet-wide admission cap; defaults to twice the summed worker
-        queue capacity (the front should reject before workers do).
+        queue capacity.  It is the fleet's only pending-count limit:
+        workers keep none of their own, so a burst the front admits is
+        never refused by a worker, whichever worker it lands on.
     registry:
         :class:`~repro.obs.metrics.MetricsRegistry` for fleet
         telemetry (defaults to the process-wide registry).

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import importlib
 import pickle
+import sys
 from dataclasses import asdict, dataclass
 
 
@@ -160,9 +161,13 @@ class WorkerSpec:
         """The worker's :class:`~repro.serve.server.GemmServer`."""
         from repro.serve.server import GemmServer
 
-        # fair_share off: the front owns admission fairness; inside a
-        # worker every request is already one fleet client's.
+        # The front owns admission: its max_pending bounds the requests
+        # in every worker, so the worker keeps no pending cap (one of its
+        # own could refuse a burst the front admitted) and no fair share
+        # (inside a worker every request is already one fleet client's).
+        # The queue's max_queue backpressure stays.
         return GemmServer(service, max_batch=self.max_batch,
                           max_wait_ms=self.max_wait_ms,
                           max_batch_cost=self.max_batch_cost,
-                          max_queue=self.max_queue, fair_share=None)
+                          max_queue=self.max_queue, max_pending=sys.maxsize,
+                          fair_share=None)

@@ -42,7 +42,14 @@ class HostMachine:
         Keep allocated operands per shape between timing calls.  Real
         BLAS benchmarking allocates once and loops (paper Section V-B3);
         this mirrors that and avoids measuring allocation.
+
+    The machine declares itself ``blocking`` (see
+    :class:`~repro.engine.backend.ExecutionBackend`): its ``timed_run``
+    waits on a real thread team with the GIL released, so a server
+    runs its batches in the event loop's executor, off the loop.
     """
+
+    blocking = True
 
     def __init__(self, max_threads: int = None, blocks: BlockSizes = None,
                  operand_cache: bool = True, seed: int = 0):

@@ -57,6 +57,32 @@ def _label_key(labels: Dict[str, str]) -> Tuple:
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
 
 
+def skip_ahead(rng: random.Random, capacity: int, log_w: float,
+               position: int) -> Tuple[float, int]:
+    """One step of Algorithm L (Li, 1994) for a full reservoir.
+
+    Shrinks the running weight ``W`` (passed and returned as
+    ``log_w``; start at ``0.0``) and draws which observation after
+    number ``position`` replaces a retained one next.  Returns
+    ``(log_w, next)``.  Two uniform draws per step: a sampler calls it
+    once when it fills and once per replacement, so appends between
+    replacements only compare a counter.
+    """
+    log_w += math.log(_uniform(rng)) / capacity
+    # log(1 - W); expm1 keeps 1 - W accurate while W is near 1.
+    log_keep = math.log(-math.expm1(log_w))
+    return log_w, position + math.floor(
+        math.log(_uniform(rng)) / log_keep) + 1
+
+
+def _uniform(rng: random.Random) -> float:
+    """A draw from the open interval (0, 1): ``log(0)`` is undefined."""
+    u = rng.random()
+    while u == 0.0:
+        u = rng.random()
+    return u
+
+
 class Reservoir:
     """Bounded sample store: exact until ``capacity``, Algorithm L after.
 
@@ -90,8 +116,8 @@ class Reservoir:
         # Algorithm L's running weight W (as log W) and the count of the
         # next replacing observation.  The draws need no data, so the
         # first replacement is scheduled here.
-        self._log_w = 0.0
-        self._skip_from(self.capacity)
+        self._log_w, self._next = skip_ahead(self._rng, self.capacity, 0.0,
+                                             self.capacity)
 
     # -- recording -------------------------------------------------------
     def append(self, value) -> None:
@@ -106,23 +132,8 @@ class Reservoir:
             self._data.append(value)
         elif self.count >= self._next:
             self._data[self._rng.randrange(self.capacity)] = value
-            self._skip_from(self.count)
-
-    def _skip_from(self, position: int) -> None:
-        """Shrink W, then schedule the next replacement after
-        observation number ``position``."""
-        self._log_w += math.log(self._uniform()) / self.capacity
-        # log(1 - W); expm1 keeps 1 - W accurate while W is near 1.
-        log_keep = math.log(-math.expm1(self._log_w))
-        self._next = position + math.floor(
-            math.log(self._uniform()) / log_keep) + 1
-
-    def _uniform(self) -> float:
-        """A draw from the open interval (0, 1): ``log(0)`` is undefined."""
-        u = self._rng.random()
-        while u == 0.0:
-            u = self._rng.random()
-        return u
+            self._log_w, self._next = skip_ahead(
+                self._rng, self.capacity, self._log_w, self.count)
 
     def extend(self, values: Iterable) -> None:
         for value in values:

@@ -109,7 +109,18 @@ class DriftMonitor:
         self.fired = None
 
     def evaluate(self, source) -> Optional[DriftEvent]:
-        """One observation; returns the event on the firing call only."""
+        """One observation; returns the event on the firing call only.
+
+        The callback runs after the monitor latches, and its error
+        propagates.
+        """
+        event = self._check(source)
+        if event is not None and self.callback is not None:
+            self.callback(event)
+        return event
+
+    def _check(self, source) -> Optional[DriftEvent]:
+        """:meth:`evaluate` without the callback."""
         self._evaluations += 1
         if self.fired is not None or (self._evaluations - 1) % self.every:
             return None
@@ -128,8 +139,6 @@ class DriftMonitor:
                            threshold=float(self.threshold),
                            direction=self.direction, count=int(count))
         self.fired = event           # latch before callbacks: fire once
-        if self.callback is not None:
-            self.callback(event)
         return event
 
 
@@ -149,20 +158,46 @@ class MonitorSet:
         return self
 
     def evaluate(self, source) -> List[DriftEvent]:
-        """Evaluate every monitor; deliver + record any firings."""
+        """Evaluate every monitor; deliver + record any firings.
+
+        A monitor whose extractor or callback raises, or an ``on_fire``
+        that raises, is recorded as a ``monitor_error`` registry event
+        and evaluation goes on: the server evaluates its monitors after
+        every batch, and a monitor must never stop a shard serving.  A
+        firing whose callback raised still counts as fired.
+        """
         fired = []
         for monitor in self.monitors:
-            event = monitor.evaluate(source)
+            try:
+                event = monitor._check(source)
+            except Exception as exc:
+                self._failed(monitor, "extract", exc)
+                continue
             if event is None:
                 continue
+            self._deliver(monitor, "callback", monitor.callback, event)
             fired.append(event)
             self.events.append(event)
-            registry = self.registry if self.registry is not None \
-                else default_registry()
-            registry.event("drift", **event.as_dict())
-            if self.on_fire is not None:
-                self.on_fire(event)
+            self._registry().event("drift", **event.as_dict())
+            self._deliver(monitor, "on_fire", self.on_fire, event)
         return fired
+
+    def _registry(self) -> MetricsRegistry:
+        return self.registry if self.registry is not None \
+            else default_registry()
+
+    def _deliver(self, monitor, stage, callback, event) -> None:
+        if callback is None:
+            return
+        try:
+            callback(event)
+        except Exception as exc:
+            self._failed(monitor, stage, exc)
+
+    def _failed(self, monitor, stage, exc) -> None:
+        self._registry().event("monitor_error", monitor=monitor.name,
+                               stage=stage, error=type(exc).__name__,
+                               message=str(exc))
 
     def reset(self) -> None:
         for monitor in self.monitors:

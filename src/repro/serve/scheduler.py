@@ -15,6 +15,11 @@ choices are bitwise identical to per-request
 batch == scalar prediction), and each slab's future is resolved with
 its slot-aligned :class:`~repro.engine.service.GemmCallRecord` list.
 
+The call runs on the event loop, with no thread-pool hop, unless the
+shard's execution backend declares that it blocks (``blocking``, see
+:class:`~repro.engine.backend.ExecutionBackend`): a blocking pass runs
+in the loop's default executor, so its wait leaves the loop free.
+
 Shutdown is a sentinel enqueued *behind* every already-admitted request
 (the queue is FIFO and admission stops first), so closing the server
 drains in-flight work instead of dropping it.
@@ -267,11 +272,20 @@ class MicroBatcher:
     async def _execute(self, batch, loop, t_form: float = None) -> None:
         """One vectorised service pass; resolve every slab's future.
 
-        The pass runs in the loop's default executor so a long batch
-        (a real ``ParallelExecutionBackend`` GEMM, say) never blocks
-        other shards' windows or new admissions; this shard's own
-        batcher stays suspended here, so per-shard execution remains
-        strictly sequential and choices stay deterministic.
+        The pass runs on the event loop when the shard's backends
+        compute their runtimes, which is cheaper than a hand-off to a
+        thread.  When one declares that it blocks (the service
+        dispatcher's ``blocking``, read per batch because backends can
+        be registered while the server runs), the pass runs in the
+        loop's default executor instead, so a long wait (a real
+        ``ParallelExecutionBackend`` GEMM, say) never holds up other
+        shards' windows or new admissions.  Either way this shard's
+        batcher waits for the pass, so per-shard execution remains
+        strictly sequential and choices stay deterministic.  An inline
+        pass does not yield to the loop, and neither does taking an
+        entry already queued, so a shard runs the batches its queue
+        holds (at most ``max_queue`` entries) back to back before other
+        tasks on the loop resume; their replies then go out together.
 
         Every slab contributes all its slots to the flattened spec list
         and gets its *single* future resolved with the slot-aligned
@@ -285,8 +299,12 @@ class MicroBatcher:
                       if self.policy.max_batch_cost is not None else None)
         self.telemetry.record_batch(len(specs), cost=batch_cost)
         try:
-            records = list(await loop.run_in_executor(
-                None, self.service.run_batch, specs))
+            if getattr(getattr(self.service, "dispatcher", None),
+                       "blocking", False):
+                records = list(await loop.run_in_executor(
+                    None, self.service.run_batch, specs))
+            else:
+                records = list(self.service.run_batch(specs))
         except Exception as exc:
             for entry in batch:
                 for spec in entry.specs:

@@ -9,6 +9,7 @@ without breaking version idempotence.
 """
 
 import dataclasses
+import math
 import pickle
 
 import numpy as np
@@ -321,6 +322,40 @@ class TestShapeReservoir:
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
             ShapeReservoir(capacity=0)
+
+    def test_draws_only_on_replacements(self):
+        """Past capacity, draws scale with k ln(n/k), not with n."""
+
+        class CountingRng:
+            def __init__(self, rng):
+                self.rng = rng
+                self.calls = {"random": 0, "randrange": 0}
+
+            def random(self):
+                self.calls["random"] += 1
+                return self.rng.random()
+
+            def randrange(self, stop):
+                self.calls["randrange"] += 1
+                return self.rng.randrange(stop)
+
+        k, n = 64, 64_000
+        reservoir = ShapeReservoir(capacity=k)
+        rng = reservoir._rng = CountingRng(reservoir._rng)
+        for i in range(n):
+            reservoir.add((np.int64(i + 1), 2, 3))
+        # One randrange picks the slot each replacement overwrites; two
+        # uniforms then shrink the weight and draw the next skip.
+        replacements = rng.calls["randrange"]
+        assert rng.calls["random"] == 2 * replacements
+        # Offer i > k replaces with probability k / i.
+        expected = sum(k / i for i in range(k + 1, n + 1))
+        assert abs(replacements - expected) <= 5 * math.sqrt(expected)
+        # Algorithm R would have drawn once per offer past k.
+        assert 3 * replacements < (n - k) / 30
+        assert reservoir.seen == n and len(reservoir) == k
+        assert all(type(v) is int for shape in reservoir.shapes()
+                   for v in shape)
 
     def test_predictor_records_fallbacks(self, feature_setup,
                                          fitted_pipeline):

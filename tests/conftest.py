@@ -7,6 +7,8 @@ micro-installation trains two candidates on a few dozen shapes.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,18 @@ from repro.machine.simulator import MachineSimulator
 from repro.ml.registry import candidate_models
 
 MB = 1024 * 1024
+
+
+class CountingExecutor(ThreadPoolExecutor):
+    """A default executor that counts the calls the event loop hands it."""
+
+    def __init__(self):
+        super().__init__()
+        self.submitted = 0
+
+    def submit(self, *args, **kwargs):
+        self.submitted += 1
+        return super().submit(*args, **kwargs)
 
 
 @pytest.fixture

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.bench.loadgen import CpuBoundBackend
 from repro.blas.adapter import RoutineSimulator
 from repro.blas.syrk import SyrkSpec
 from repro.engine.backend import (BackendDispatcher, ExecutionBackend,
@@ -113,3 +114,42 @@ class TestDispatcher:
         dispatcher = BackendDispatcher(default=base)
         dispatcher.register(SyrkSpec, other).register(GemmSpec, other)
         assert dispatcher.backends == [base, other]
+
+
+class TestBlockingDeclarations:
+    """``blocking`` marks the backends whose ``timed_run`` waits with
+    the GIL released; a missing attribute means ``False``."""
+
+    def test_waiting_backends_declare_blocking(self):
+        assert ParallelExecutionBackend(thread_grid=[1], max_threads=1) \
+            .blocking is True
+        assert as_backend(HostMachine(max_threads=2)).blocking is True
+        sleeper = CpuBoundBackend(iters=1, sleep_s=0.001)
+        assert sleeper.blocking is True
+        assert as_backend(sleeper, GRID).blocking is True  # rewrapped
+
+    def test_computing_backends_do_not(self, tiny_sim):
+        assert tiny_sim.backend(GRID).blocking is False
+        assert as_backend(RoutineSimulator(tiny_sim), GRID).blocking is False
+        spinner = CpuBoundBackend(iters=1, sleep_s=0)
+        assert spinner.blocking is False
+        assert as_backend(spinner, GRID).blocking is False
+
+    def test_bare_timed_run_object_does_not(self):
+        class Bare:
+            def timed_run(self, spec, n_threads, repeats=1):
+                return 1.0
+
+        bare = as_backend(Bare(), GRID)
+        assert type(bare) is TimedRunBackend
+        assert isinstance(bare, ExecutionBackend)
+        assert bare.blocking is False
+
+    def test_dispatcher_blocks_if_any_route_does(self, tiny_sim):
+        dispatcher = BackendDispatcher(default=tiny_sim.backend(GRID))
+        dispatcher.register(SyrkSpec, tiny_sim.backend([1, 2]))
+        assert dispatcher.blocking is False
+        dispatcher.register_routine(
+            "gemv", CpuBoundBackend(iters=1, sleep_s=0.001))
+        assert dispatcher.blocking is True
+        assert BackendDispatcher().blocking is False

@@ -8,7 +8,6 @@ into shared scenarios rather than paying a spawn per claim.
 import asyncio
 import os
 import signal
-from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -23,6 +22,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.serve.request import ServerOverloaded
 from repro.serve.router import CanaryRouter
 from repro.train.registry import ModelRegistry
+from tests.conftest import CountingExecutor
 
 
 def run(coro):
@@ -45,18 +45,6 @@ def make_fleet(registry_root, workers=2, **kwargs):
     return FleetServer.from_registry(
         registry_root, "tiny", workers=workers,
         routines=("gemm", "gemv"), **kwargs)
-
-
-class CountingExecutor(ThreadPoolExecutor):
-    """A default executor that counts the calls the event loop hands it."""
-
-    def __init__(self):
-        super().__init__()
-        self.submitted = 0
-
-    def submit(self, *args, **kwargs):
-        self.submitted += 1
-        return super().submit(*args, **kwargs)
 
 
 def versions(fleet, routine="gemm") -> dict:
@@ -294,6 +282,36 @@ class TestFleetServing:
             assert entry["in_flight"] == 0
             assert entry["cost_in_flight"] == 0.0
         assert [r.spec for r in records] == specs
+
+    def test_front_admitted_burst_is_served_on_one_worker(self,
+                                                          fleet_registry):
+        """The front is the fleet's only pending-count limit.  A
+        hash-routed single-shape burst lands whole on one worker; one
+        above 2 x max_queue (a standalone server's default cap for that
+        queue) but within the front's cap is served there, not
+        refused."""
+        spec = GemmSpec(64, 128, 64)
+        n = 1000
+        reference = GemmService.from_registry(
+            ModelRegistry(fleet_registry),
+            MachineSimulator(by_name("tiny"), seed=0), machine_name="tiny")
+        expected = reference.run(spec).n_threads
+
+        async def scenario():
+            fleet = make_fleet(fleet_registry, router="hash",
+                               registry=MetricsRegistry())
+            async with fleet:
+                assert 2 * WorkerSpec.max_queue < n <= fleet.max_pending
+                records = await fleet.submit_many([spec] * n)
+                ws = await fleet.worker_stats()
+            return records, ws
+
+        records, worker_stats = run(scenario())
+        assert [r.n_threads for r in records] == [expected] * n
+        served = sorted(w["server"]["served"] for w in worker_stats.values())
+        assert served == [0, n]
+        assert all(w["server"]["rejected"] == 0
+                   for w in worker_stats.values())
 
     def test_burst_makes_no_executor_submissions(self, fleet_registry):
         """A burst's frames are written and read on the event loop: no

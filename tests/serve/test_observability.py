@@ -19,7 +19,8 @@ from repro.core.predictor import ThreadPredictor
 from repro.engine import GemmService, PredictionCache
 from repro.gemm.interface import GemmSpec
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.monitors import table_fallback_monitor
+from repro.obs.monitors import (DriftMonitor, MonitorSet,
+                                 table_fallback_monitor)
 from repro.obs.tracing import CHAIN
 from repro.serve.server import GemmServer
 
@@ -248,3 +249,44 @@ class TestDriftMonitors:
         assert monitor.fired is None
         assert monitor.last_value == 0.0
         assert server.stats()["table_hits"] == len(LATTICE)
+
+    def test_raising_callbacks_leave_the_shard_serving(self, make_service):
+        """A monitor callback or ``on_fire`` that raises is recorded as
+        a ``monitor_error`` event; the other monitors still fire and the
+        shard keeps serving."""
+        registry = MetricsRegistry()
+        seen = []
+
+        def boom(event):
+            raise RuntimeError(f"handler for {event.monitor} failed")
+
+        always = lambda server: (1.0, 1)  # noqa: E731 - fires at once
+        monitors = MonitorSet(
+            [DriftMonitor("first", always, above=0.5, callback=boom),
+             DriftMonitor("second", always, above=0.5,
+                          callback=seen.append)],
+            on_fire=boom, registry=registry)
+
+        async def scenario():
+            async with GemmServer(make_service(), max_batch=1,
+                                  max_wait_ms=0.0, monitors=monitors,
+                                  registry=registry) as server:
+                first = await server.submit(GemmSpec(64, 64, 64))
+                second = await asyncio.wait_for(
+                    server.submit(GemmSpec(96, 64, 64)), 3.0)
+                return server, first, second
+
+        server, first, second = run(scenario())
+        assert first.n_threads == second.n_threads == 8
+        assert [e.monitor for e in seen] == ["second"]
+        assert [e["monitor"] for e in registry.events("drift")] \
+            == ["first", "second"]
+        errors = [(e["monitor"], e["stage"], e["error"])
+                  for e in registry.events("monitor_error")]
+        assert errors == [("first", "callback", "RuntimeError"),
+                          ("first", "on_fire", "RuntimeError"),
+                          ("second", "on_fire", "RuntimeError")]
+        stats = server.stats()
+        assert stats["served"] == 2 and stats["pending"] == 0
+        assert all(entry["fired"] is not None
+                   for entry in stats["monitors"]["monitors"].values())

@@ -1,14 +1,18 @@
 """Micro-batching scheduler and admission-control edge cases."""
 
 import asyncio
+import threading
 
+import numpy as np
 import pytest
 
+from repro.engine import GemmService
 from repro.gemm.interface import GemmSpec
 from repro.serve import (BatchPolicy, GemmServer, ServerClosed,
                          ServerOverloaded)
+from tests.conftest import CountingExecutor
 
-from .conftest import ExplodingBackend
+from .conftest import GRID, ExplodingBackend
 
 
 class TestBatchPolicy:
@@ -339,3 +343,92 @@ class TestCarryPaths:
         # The slab (4 slots) could not join the scalar's batch (1 + 4 > 4).
         assert server.telemetry.batch_size_histogram() == {1: 1, 4: 1}
         assert server.stats()["batch_close_reasons"].get("size", 0) == 2
+
+
+class DeclaredBlocking:
+    """A machine's runtimes through a backend that declares it blocks."""
+
+    blocking = True
+
+    def __init__(self, machine):
+        self.machine = machine
+        self.name = "declared-blocking"
+
+    def timed_run(self, spec, n_threads, repeats=1, **kw):
+        return self.machine.timed_run(spec, n_threads, repeats=repeats, **kw)
+
+
+class GatedBackend:
+    """Waits in ``timed_run`` until a coroutine on the event loop opens
+    its gate, which a loop busy running the batch itself never does."""
+
+    blocking = True
+    name = "gated"
+    thread_grid = np.asarray(GRID)
+
+    def __init__(self, loop):
+        self.loop = loop
+        self.entered = asyncio.Event()
+        self.gate = threading.Event()
+
+    def timed_run(self, spec, n_threads, repeats=1):
+        self.loop.call_soon_threadsafe(self.entered.set)
+        if not self.gate.wait(5.0):
+            raise TimeoutError("the event loop never opened the gate")
+        return 1e-3
+
+
+class TestExecutionHop:
+    """A batch runs on the event loop, and in the loop's default
+    executor only when its backend declares that it blocks."""
+
+    @pytest.mark.parametrize("blocking", [False, True],
+                             ids=["computing", "blocking"])
+    def test_executor_hops(self, tiny_bundle, blocking):
+        bundle, sim = tiny_bundle
+        rng = np.random.default_rng(7)
+        dims = np.exp(rng.uniform(np.log(8), np.log(2048), size=(256, 3)))
+        specs = [GemmSpec(*map(int, row)) for row in dims]
+        singles = specs[:24:3] + [GemmSpec(40 + i, 80, 120) for i in range(8)]
+        reference = GemmService.from_bundle(bundle, sim)
+        expected = [reference.run(s).n_threads for s in specs + singles]
+        assert len(set(expected)) > 1  # the choices depend on the shape
+        service = GemmService.from_bundle(
+            bundle, sim, backend=DeclaredBlocking(sim) if blocking else None)
+
+        async def scenario():
+            executor = CountingExecutor()
+            asyncio.get_running_loop().set_default_executor(executor)
+            async with GemmServer(service, max_wait_ms=1.0, max_pending=1024,
+                                  fair_share=None) as server:
+                burst, *rest = await asyncio.gather(
+                    server.submit_many(specs),
+                    *(server.submit(s) for s in singles))
+            return executor.submitted, server.stats(), burst + rest
+
+        hops, stats, records = asyncio.run(scenario())
+        assert [r.n_threads for r in records] == expected
+        assert stats["served"] == len(expected) and stats["failed"] == 0
+        assert stats["batches"] >= len(specs) // 16
+        assert hops == (stats["batches"] if blocking else 0)
+
+    def test_blocking_backend_leaves_the_loop_free(self, make_service):
+        """While a blocking batch waits, the loop runs other coroutines:
+        here the one that lets the batch finish."""
+
+        async def scenario():
+            backend = GatedBackend(asyncio.get_running_loop())
+
+            async def open_gate():
+                await backend.entered.wait()
+                backend.gate.set()
+
+            async with GemmServer(make_service(backend=backend),
+                                  max_wait_ms=0.0) as server:
+                record, _ = await asyncio.gather(
+                    server.submit(GemmSpec(64, 64, 64)), open_gate())
+            return record, server.stats()
+
+        record, stats = asyncio.run(scenario())
+        assert record.n_threads == 8 and record.runtime == 1e-3
+        assert stats["served"] == 1 and stats["failed"] == 0
