@@ -34,8 +34,8 @@ def cache_effectiveness_table(stats: dict, title: str = "prediction cache") -> s
     """Render engine serving statistics next to the speedup tables.
 
     ``stats`` is what :meth:`repro.engine.service.GemmService.stats`
-    (or :attr:`repro.core.library.AdsalaGemm.cache_stats`) returns; the
-    row surfaces how much of the workload the prediction cache absorbed.
+    (or :attr:`repro.core.library.AdsalaGemm.cache_stats`) returns, with
+    ``unique_shapes`` when the caller counts its input (``repro batch``).
     """
     wanted = ("requests", "unique_shapes", "evaluations", "memo_hit_rate",
               "cache_hits", "cache_misses", "cache_evictions", "cache_size",

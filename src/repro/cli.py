@@ -419,7 +419,9 @@ def cmd_batch(args) -> int:
         print(f"max-thread baseline:  {total_base * 1e3:.3f} ms "
               f"(speedup {total_base / total_ml:.2f}x)")
     print()
-    print(cache_effectiveness_table(service.stats()))
+    # A batch serves exactly its input: one per_shape row per shape.
+    print(cache_effectiveness_table({**service.stats(),
+                                     "unique_shapes": len(per_shape)}))
     return 0
 
 

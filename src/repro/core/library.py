@@ -136,14 +136,6 @@ class AdsalaRuntime:
 
     # ------------------------------------------------------------------
     @property
-    def _predictor(self):
-        return self.service.predictor
-
-    @property
-    def history(self) -> list:
-        return self.service.history
-
-    @property
     def thread_grid(self):
         return self.service.thread_grid
 

@@ -28,7 +28,6 @@ amortised prediction cost.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -62,10 +61,6 @@ class GemmCallRecord:
     @property
     def gflops(self) -> float:
         return self.spec.flops / self.runtime / 1e9
-
-    @property
-    def routine(self) -> str:
-        return routine_of(self.spec)
 
 
 def _table_row(counts: dict) -> dict:
@@ -134,8 +129,8 @@ class GemmService:
             if self.refiner.predictor is not predictor:
                 raise ValueError(
                     "refine must wrap this service's own predictor")
-        self.history: list = []
-        self.n_requests: int = 0
+        self._requests: Dict[str, int] = {}  # spec routine -> served calls
+        self.n_memoised: int = 0    # served calls with a cached prediction
         self.n_batches: int = 0
         self.bundle_generation: int = 0     # applied reloads
         self.bundle_info: Dict[str, str] = {}
@@ -425,32 +420,39 @@ class GemmService:
         self._ensure_open()
         specs = list(specs)
         choices = np.empty(len(specs), dtype=np.int64)
-        for predictor, indices in self._group_by_predictor(specs).values():
+        for predictor, indices in self._group_by_predictor(specs)[0].values():
             choices[indices] = predictor.predict_threads_batch(
                 [_shape_key(specs[i]) for i in indices])
         return choices
 
-    def _group_by_predictor(self, specs) -> dict:
-        """``id(predictor) -> (predictor, [input indices])``, first-seen
-        order, against a point-in-time snapshot of the predictor map."""
+    def _group_by_predictor(self, specs) -> tuple:
+        """``(groups, requests)`` against a point-in-time snapshot of the
+        predictor map: ``id(predictor) -> (predictor, [input indices])``
+        in first-seen order, and routine name -> number of specs."""
         predictors = dict(self._predictors)
         default = predictors[self.routine]
         groups: dict = {}
+        requests: dict = {}
         for i, spec in enumerate(specs):
-            predictor = predictors.get(routine_of(spec, self.routine))
+            routine = routine_of(spec, self.routine)
+            requests[routine] = requests.get(routine, 0) + 1
+            predictor = predictors.get(routine)
             if predictor is None:
                 predictor = default
             groups.setdefault(id(predictor), (predictor, []))[1].append(i)
-        return groups
+        return groups, requests
 
     # -- execution -------------------------------------------------------
     def run(self, spec) -> GemmCallRecord:
         """Predict (or refine), dispatch and record one call."""
         self._ensure_open()
-        # Snapshot: a concurrent reload() swaps the predictor map entry,
-        # but this call must finish entirely on the artefacts it started
-        # with.
-        predictor, refiner = self.predictor_for(spec), self.refiner
+        # predictor_for(spec), keeping the routine for the count.  A
+        # snapshot: a concurrent reload() swaps the predictor map entry,
+        # but this call must finish on the artefacts it started with.
+        routine = routine_of(spec, self.routine)
+        predictor, refiner = self._predictors.get(routine), self.refiner
+        if predictor is None:
+            predictor = self._predictors[self.routine]
         hits_before = predictor.cache.hits
         if refiner is not None:
             rkey = _routine_key(spec)
@@ -458,12 +460,13 @@ class GemmService:
                                                    routine=rkey[0]))
         else:
             n_threads = predictor.predict_threads(*_shape_key(spec))
-        record = self._dispatch(spec, n_threads,
-                                memoised=predictor.cache.hits > hits_before)
+        memoised = predictor.cache.hits > hits_before
+        record = self._dispatch(spec, n_threads, memoised)
         if refiner is not None:
             refiner.record(*rkey[1:], record.n_threads, record.runtime,
                            routine=rkey[0])
-        self.n_requests += 1
+        self._requests[routine] = self._requests.get(routine, 0) + 1
+        self.n_memoised += memoised
         return record
 
     def run_batch(self, specs) -> list:
@@ -492,7 +495,8 @@ class GemmService:
         refiner = self.refiner
         choices = np.empty(len(specs), dtype=np.int64)
         memoised = [False] * len(specs)
-        for predictor, indices in self._group_by_predictor(specs).values():
+        groups, requests = self._group_by_predictor(specs)
+        for predictor, indices in groups.values():
             keys = [predictor.cache_key(specs[i]) for i in indices]
             fresh = {key for key in dict.fromkeys(keys)
                      if key not in predictor.cache}
@@ -508,12 +512,14 @@ class GemmService:
                 rkey = _routine_key(spec)
                 n_threads = refiner.choose_threads(*rkey[1:],
                                                    routine=rkey[0])
-            record = self._dispatch(spec, int(n_threads), memoised=memo)
+            record = self._dispatch(spec, int(n_threads), memo)
             if refiner is not None:
                 refiner.record(*rkey[1:], record.n_threads, record.runtime,
                                routine=rkey[0])
             records.append(record)
-        self.n_requests += len(specs)
+        for routine, count in requests.items():
+            self._requests[routine] = self._requests.get(routine, 0) + count
+        self.n_memoised += sum(memoised)
         self.n_batches += 1
         return records
 
@@ -529,10 +535,7 @@ class GemmService:
     def _dispatch(self, spec, n_threads: int, memoised: bool) -> GemmCallRecord:
         runtime = self.dispatcher.timed_run(spec, n_threads,
                                             repeats=self.repeats)
-        record = GemmCallRecord(spec=spec, n_threads=n_threads,
-                                runtime=runtime, memoised=memoised)
-        self.history.append(record)
-        return record
+        return GemmCallRecord(spec, n_threads, runtime, memoised)
 
     # -- stats -----------------------------------------------------------
     def _tallies(self) -> tuple:
@@ -563,9 +566,9 @@ class GemmService:
     def metrics(self) -> Dict[str, float]:
         """Flat counter pull for a metrics-registry collector.
 
-        Cheap by construction — counter sums over the handful of live
-        predictors, never a walk of ``history`` (unlike the fuller
-        :meth:`stats`), so registry snapshots stay O(1) per service.
+        The engine's counters plus sums over its handful of predictors,
+        O(predictors) like :meth:`stats`; empty once the service is
+        closed, so a scrape skips it.
         """
         if self._closed:
             return {}
@@ -616,22 +619,26 @@ class GemmService:
                 if counts["table_hits"] or counts["table_fallbacks"]}
 
     @property
+    def n_requests(self) -> int:
+        """Calls served: the sum of the per-routine counts."""
+        return sum(self._requests.values())
+
+    @property
     def memo_hit_rate(self) -> float:
         """Fraction of served calls whose prediction was cached."""
-        if not self.history:
-            return 0.0
-        return sum(r.memoised for r in self.history) / len(self.history)
+        return self.n_memoised / max(self.n_requests, 1)
 
     def stats(self) -> dict:
-        """History- and cache-derived serving statistics.
+        """Counter-derived serving statistics, O(predictors).
 
         Prediction counters (``evaluations``, ``model_passes``, the
         table counts), in total and per routine, stay monotonic across
         hot-reloads: counters of retired predictors are folded in.
         Cache counters aggregate every routine's predictor; the
         ``routines`` entry breaks requests, evaluations and cache
-        effectiveness down per routine.
+        effectiveness down per routine with a predictor of its own.
         """
+        self._ensure_open()
         predictors = dict(self._predictors)
         live = {id(p): p for p in predictors.values()}.values()
         per_routine, total = self._tallies()
@@ -647,8 +654,6 @@ class GemmService:
         stats = {
             "requests": self.n_requests,
             "batches": self.n_batches,
-            "unique_shapes": len({_routine_key(r.spec)
-                                  for r in self.history}),
             "evaluations": total["evaluations"],
             "model_passes": total["model_passes"],
             "memo_hit_rate": round(self.memo_hit_rate, 4),
@@ -661,10 +666,9 @@ class GemmService:
                        for r in self._retired.values()):
             stats.update({key: total[key] for key in _TABLE_KEYS})
         if len(predictors) > 1 or self.routine_info:
-            requests = Counter(r.routine for r in self.history)
             stats["routines"] = {
                 name: {
-                    "requests": requests.get(name, 0),
+                    "requests": self._requests.get(name, 0),
                     "evaluations": per_routine[name]["evaluations"],
                     "model_passes": per_routine[name]["model_passes"],
                     **(_table_row(per_routine[name])

@@ -225,8 +225,8 @@ def table_fallback_monitor(max_rate: float, min_lookups: int = 20,
     was built for) — exactly what should trigger lattice refinement or
     retraining on captured traffic.  It reads each distinct shard
     engine's :meth:`~repro.engine.service.GemmService.table_counters`,
-    the O(predictors) counter view, never the history-walking
-    ``stats()``: the monitor runs after every batch.
+    the O(predictors) table view, not the whole ``stats()`` dict with
+    its cache and per-routine rows: the monitor runs after every batch.
     """
 
     def extract(server):

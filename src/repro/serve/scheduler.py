@@ -144,6 +144,7 @@ class MicroBatcher:
             closing, pending_reload, carry = await self._collect(
                 queue, batch, loop)
             await self._execute(batch, loop, t_form=t_form)
+            first = batch = None  # served slabs' futures hold their records
             if pending_reload is not None:
                 self._apply_reload(pending_reload)
 

@@ -85,7 +85,7 @@ class TestAdsalaGemm:
             assert rec.n_threads in g.thread_grid
             assert rec.runtime > 0
             assert rec.gflops > 0
-            assert len(g.history) == 1
+            assert g.cache_stats["requests"] == 1
 
     def test_memoisation_visible_in_records(self, tiny_bundle):
         bundle, sim = tiny_bundle
@@ -115,6 +115,13 @@ class TestAdsalaGemm:
         g.close()
         with pytest.raises(RuntimeError, match="closed"):
             g.gemm(8, 8, 8)
+
+    def test_closed_instance_rejects_cache_stats(self, tiny_bundle):
+        bundle, sim = tiny_bundle
+        with AdsalaGemm(bundle, sim) as g:
+            g.gemm(64, 64, 64)
+        with pytest.raises(RuntimeError, match="has been closed"):
+            g.cache_stats
 
     def test_from_directory(self, tiny_bundle, tmp_path):
         bundle, sim = tiny_bundle

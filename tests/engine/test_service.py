@@ -1,5 +1,8 @@
 """GemmService: dedup, batch prediction, dispatch, stats, facade parity."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -37,7 +40,7 @@ class TestSingleCalls:
         assert record.n_threads == 8
         assert record.runtime > 0
         assert not record.memoised
-        assert service.history == [record]
+        assert service.stats()["requests"] == 1
 
     def test_repeat_call_is_memoised(self, service):
         service.run(GemmSpec(64, 64, 64))
@@ -54,6 +57,32 @@ class TestSingleCalls:
         service.close()
         with pytest.raises(RuntimeError):
             service.run(GemmSpec(8, 8, 8))
+
+    def test_closed_service_rejects_stats(self, service):
+        service.run(GemmSpec(64, 64, 64))
+        service.run(GemmSpec(64, 64, 64))
+        service.close()
+        with pytest.raises(RuntimeError, match="has been closed"):
+            service.stats()
+        assert service.memo_hit_rate == pytest.approx(0.5)
+
+
+class TestKeepsNoRecord:
+    """The engine counts calls; a record its caller drops is garbage."""
+
+    def test_run_record_is_collected(self, service):
+        ref = weakref.ref(service.run(GemmSpec(64, 64, 64)))
+        gc.collect()
+        assert ref() is None
+        assert service.stats()["requests"] == 1
+
+    def test_run_batch_records_are_collected(self, service):
+        refs = [weakref.ref(record) for record in service.run_batch(
+            [GemmSpec(32, 32, 32), GemmSpec(64, 64, 64),
+             GemmSpec(32, 32, 32)])]
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None, None]
+        assert service.stats()["requests"] == 3
 
 
 class TestBatchServing:
@@ -92,7 +121,6 @@ class TestBatchServing:
         stats = service.stats()
         assert stats["requests"] == 3
         assert stats["batches"] == 1
-        assert stats["unique_shapes"] == 2
         assert stats["evaluations"] == 2
         # Cache lookups are per unique shape; the intra-batch duplicate
         # shares the batch evaluation and shows up in memo_hit_rate.
@@ -175,7 +203,7 @@ class TestAdsalaGemmFacade:
         bundle, sim = tiny_bundle
         with AdsalaGemm(bundle, sim) as gemm:
             records = gemm.run_batch([GemmSpec(64, 64, 64)] * 3)
-            assert len(records) == 3 and len(gemm.history) == 3
+            assert len(records) == 3
             stats = gemm.cache_stats
             assert stats["requests"] == 3
             assert stats["evaluations"] == 1  # dups share one model pass

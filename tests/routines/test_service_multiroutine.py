@@ -1,5 +1,7 @@
 """GemmService with per-routine predictors: dispatch, isolation, reload."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,8 @@ from repro.blas.gemv import GemvSpec
 from repro.blas.syrk import SyrkSpec
 from repro.blas.trsm import TrsmSpec
 from repro.gemm.interface import GemmSpec
-from tests.routines.conftest import GRID, ROUTINE_TARGETS, oracle_predictor
+from tests.routines.conftest import (GRID, ROUTINE_TARGETS,
+                                     RoutineOracleModel, oracle_predictor)
 
 MIXED = [GemmSpec(64, 512, 64), GemvSpec(m=64, n=512),
          SyrkSpec(n=96, k=64), TrsmSpec(m=128, n=32),
@@ -103,7 +106,6 @@ class TestMixedBatches:
         service = make_mixed_service()
         service.run_batch(MIXED)
         stats = service.stats()
-        assert stats["unique_shapes"] == 4
         routines = stats["routines"]
         assert routines["gemm"]["requests"] == 2
         assert routines["gemv"]["requests"] == 2
@@ -112,6 +114,56 @@ class TestMixedBatches:
         # Aggregate counters cover every routine's predictor.
         assert stats["evaluations"] == 4
         assert stats["model_passes"] == 4
+
+
+class TestCountersMatchRecords:
+    def test_stats_equal_the_walk_over_records(self, tiny_sim):
+        """The engine's counters give what a walk over every record it
+        returned gives: requests, batches, per-routine requests and
+        memo_hit_rate, across scalar calls, in-batch duplicates, a reload
+        and a routine served by the default predictor."""
+        from repro.blas.adapter import RoutineSimulator
+        from repro.core.config import AdsalaConfig
+        from repro.core.routines import routine_of
+        from repro.core.training import TrainedBundle
+        from repro.engine import GemmService
+
+        service = GemmService(oracle_predictor("gemm"),
+                              backend=tiny_sim.backend(GRID))
+        routines = RoutineSimulator(tiny_sim).backend(GRID)
+        service.register_routine("gemv", predictor=oracle_predictor("gemv"),
+                                 backend=routines)
+        # No syrk predictor: SYRK calls fall back to the gemm model.
+        service.register_backend(SyrkSpec, routines)
+        gemv_bundle = TrainedBundle(
+            config=AdsalaConfig(machine="tiny", routine="gemv",
+                                thread_grid=list(GRID), model_name="gemv-1"),
+            pipeline=None, model=RoutineOracleModel(1))
+
+        records = [service.run(GemmSpec(64, 512, 64)),
+                   service.run(GemvSpec(m=64, n=512)),
+                   service.run(SyrkSpec(n=96, k=64))]
+        records += service.run_batch(
+            [GemmSpec(64, 512, 64), GemvSpec(m=128, n=256),
+             GemvSpec(m=128, n=256), SyrkSpec(n=96, k=64),
+             SyrkSpec(n=48, k=32), SyrkSpec(n=48, k=32)])
+        records.append(service.run(GemmSpec(64, 512, 64)))
+        service.reload(gemv_bundle)
+        records += service.run_batch(
+            [GemvSpec(m=64, n=512), GemvSpec(m=64, n=512),
+             GemmSpec(32, 32, 32)])
+        records.append(service.run(GemvSpec(m=64, n=512)))
+
+        stats = service.stats()
+        requests = Counter(routine_of(r.spec) for r in records)
+        memo_hit_rate = sum(r.memoised for r in records) / len(records)
+        assert 0 < memo_hit_rate < 1 and requests["syrk"] == 4
+        assert stats["requests"] == len(records) == 14
+        assert stats["batches"] == 2
+        assert stats["memo_hit_rate"] == round(memo_hit_rate, 4)
+        assert {name: row["requests"]
+                for name, row in stats["routines"].items()} == \
+            {name: requests.get(name, 0) for name in service.predictors}
 
 
 class TestRoutineScopedReload:

@@ -33,6 +33,21 @@ def run(coro):
     return asyncio.run(coro)
 
 
+class RecordingBackend:
+    """Runs ``inner`` and keeps every dispatched thread count, in
+    dispatch order."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.name = inner.name
+        self.thread_grid = inner.thread_grid
+        self.choices = []
+
+    def timed_run(self, spec, n_threads, repeats=1):
+        self.choices.append(n_threads)
+        return self.inner.timed_run(spec, n_threads, repeats=repeats)
+
+
 class TestServerReload:
     def test_queued_requests_finish_on_old_bundle(self, make_service,
                                                   distinct_specs):
@@ -60,12 +75,14 @@ class TestServerReload:
         assert stats["reloads"] == 1
 
     def test_reload_under_sustained_load_drops_nothing(self, make_service,
-                                                       distinct_specs):
+                                                       distinct_specs,
+                                                       tiny_sim):
         """Requests keep flowing while the swap happens; every one
         resolves, none is rejected, and no batch mixes bundles."""
+        backend = RecordingBackend(tiny_sim.backend(GRID))
 
         async def scenario():
-            service = make_service(cache_size=256)
+            service = make_service(backend=backend, cache_size=256)
             async with GemmServer(service, max_batch=8,
                                   max_wait_ms=0.2) as server:
                 async def client(i):
@@ -93,7 +110,8 @@ class TestServerReload:
         # The swap is never mid-batch: per-request choices within one
         # batch come from one predictor, so the old-target records all
         # precede the new-target records in dispatch order.
-        choices = [r.n_threads for r in service.history]
+        choices = backend.choices
+        assert len(choices) == len(flat)
         if 1 in choices and 8 in choices:
             assert choices.index(1) > len(choices) - 1 - choices[::-1].index(8)
 

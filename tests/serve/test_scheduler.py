@@ -1,7 +1,9 @@
 """Micro-batching scheduler and admission-control edge cases."""
 
 import asyncio
+import gc
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -82,6 +84,24 @@ class TestBatchFormation:
         records = asyncio.run(run())
         assert [r.spec for r in records] == distinct_specs
         assert all(r.n_threads == 8 for r in records)
+
+    def test_served_record_is_collected(self, make_service):
+        """Once its caller drops a served record, neither the running
+        server nor its engine holds it."""
+        service = make_service()
+        server = GemmServer(service, max_batch=4, max_wait_ms=0.5)
+
+        async def run():
+            async with server:
+                ref = weakref.ref(await server.submit(GemmSpec(64, 64, 64)))
+                # The loop handle that woke this task holds the slab's
+                # future until the loop takes its next step.
+                await asyncio.sleep(0)
+                gc.collect()
+                return ref() is None
+
+        assert asyncio.run(run())
+        assert service.stats()["requests"] == 1
 
     def test_queued_entries_join_without_a_task_each(self, make_service,
                                                      distinct_specs):
