@@ -799,7 +799,7 @@ def cmd_obs(args) -> int:
                       f"{'  ' + detail if detail else ''}")
         return 0
 
-    # Default view: the stats table plus metric and event summaries.
+    # Default view: the stats table plus a metric summary.
     shown = False
     if os.path.exists(stats_path):
         with open(stats_path) as fh:
@@ -817,13 +817,6 @@ def cmd_obs(args) -> int:
                   f"{trace_stats['traces']} traces "
                   f"({trace_stats['dropped']} dropped, capacity "
                   f"{trace_stats['capacity']})")
-        events = payload.get("events") or []
-        drifts = [e for e in events if e.get("event") == "drift"]
-        if drifts:
-            print()
-            print(format_table(
-                [{k: v for k, v in e.items() if k != "event"}
-                 for e in drifts], title="drift events"))
     if os.path.exists(metrics_path):
         metrics = read_jsonl(metrics_path)
         kinds = {}

@@ -30,7 +30,6 @@ from repro.core.config import AdsalaConfig
 from repro.core.serialize import load_bundle, save_bundle
 from repro.core.library import AdsalaGemm, AdsalaRuntime
 from repro.core.diagnostics import ChoiceDiagnostics, diagnose_choices
-from repro.core.online import OnlineRefiner
 from repro.core.routines import (REGISTRY, RoutineInfo, RoutineSpec,
                                  build_spec, get_routine, register_routine,
                                  routine_names, routine_of)
@@ -46,7 +45,6 @@ __all__ = [
     "save_bundle", "load_bundle",
     "AdsalaGemm", "AdsalaRuntime",
     "ChoiceDiagnostics", "diagnose_choices",
-    "OnlineRefiner",
     "REGISTRY", "RoutineInfo", "RoutineSpec",
     "build_spec", "get_routine", "register_routine",
     "routine_names", "routine_of",

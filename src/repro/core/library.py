@@ -28,7 +28,6 @@ memory space".
 
 from __future__ import annotations
 
-from repro.core.routines import routine_of
 from repro.core.serialize import load_bundle
 from repro.engine.backend import as_backend
 from repro.engine.service import GemmCallRecord, GemmService
@@ -137,6 +136,7 @@ class AdsalaRuntime:
     # ------------------------------------------------------------------
     @property
     def thread_grid(self):
+        self._ensure_open()
         return self.service.thread_grid
 
     def predict(self, spec) -> int:
@@ -169,10 +169,6 @@ class AdsalaRuntime:
         record = self.run(spec)
         baseline = self.run_baseline(spec)
         return baseline / record.runtime
-
-    def routine_of(self, spec) -> str:
-        """Which routine's model would answer this spec."""
-        return routine_of(spec)
 
     # -- lifecycle -------------------------------------------------------
     def close(self) -> None:

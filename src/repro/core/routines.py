@@ -44,7 +44,7 @@ class RoutineSpec(Protocol):
     Any frozen value object exposing these serves through the whole
     stack: features come from ``dims``, admission and sampling budgets
     from ``memory_bytes``, throughput reports from ``flops``, and every
-    cache/refiner/router key starts with ``routine``.
+    cache and router key starts with ``routine``.
     """
 
     routine: str

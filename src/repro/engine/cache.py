@@ -37,7 +37,7 @@ def routine_key(shape, routine: str = None) -> tuple:
     The leading routine name is read from the spec's ``routine``
     attribute (bare dims triples default to ``"gemm"``) unless
     ``routine`` overrides it.  This is the key mixed-routine tables —
-    refiner statistics, shared caches — must use: a GEMV ``(m, k)``
+    shared caches, router assignments — must use: a GEMV ``(m, k)``
     problem and a GEMM ``(m, k, 1)`` shape have identical feature dims
     but wildly different measured runtimes, and only the routine prefix
     keeps their entries apart.

@@ -35,7 +35,6 @@ import numpy as np
 
 from repro.core.routines import routine_of
 from repro.engine.backend import BackendDispatcher, ExecutionBackend, as_backend
-from repro.engine.cache import routine_key as _routine_key
 from repro.engine.cache import shape_key as _shape_key
 from repro.obs.metrics import default_registry, next_instance_id
 
@@ -94,22 +93,10 @@ class GemmService:
         streams (GEMM + GEMV/SYRK/TRSM).
     repeats:
         Timing-loop repetitions per dispatched call.
-    refine:
-        Opt-in online refinement of thread choices: ``True`` builds an
-        :class:`~repro.core.online.OnlineRefiner` over ``predictor``, or
-        pass a pre-configured refiner (it must share this service's
-        predictor).  Every dispatched runtime is fed back, so choices
-        converge to the locally optimal grid point even where the model
-        mispredicts — at the cost of bounded exploration, which makes
-        choices measurement-dependent (leave off when bitwise replay
-        determinism matters, e.g. under :class:`repro.serve.GemmServer`
-        parity checks).  Refiner statistics key on
-        ``(routine, m, k, n)``, so mixed-routine feedback never
-        cross-contaminates.
     """
 
     def __init__(self, predictor, backend=None, dispatcher: BackendDispatcher = None,
-                 repeats: int = 1, refine=None):
+                 repeats: int = 1):
         if dispatcher is None:
             if backend is None:
                 raise ValueError("provide a backend or a dispatcher")
@@ -120,15 +107,6 @@ class GemmService:
         self._predictors = {self.routine: predictor}
         self.dispatcher = dispatcher
         self.repeats = repeats
-        self.refiner = None
-        if refine:
-            from repro.core.online import OnlineRefiner
-
-            self.refiner = refine if isinstance(refine, OnlineRefiner) \
-                else OnlineRefiner(predictor)
-            if self.refiner.predictor is not predictor:
-                raise ValueError(
-                    "refine must wrap this service's own predictor")
         self._requests: Dict[str, int] = {}  # spec routine -> served calls
         self.n_memoised: int = 0    # served calls with a cached prediction
         self.n_batches: int = 0
@@ -148,8 +126,7 @@ class GemmService:
 
     @classmethod
     def from_bundle(cls, bundle, machine, repeats: int = 1,
-                    cache_size: int = 256, refine=None,
-                    backend=None) -> "GemmService":
+                    cache_size: int = 256, backend=None) -> "GemmService":
         """Service over installation artefacts and a machine-like object.
 
         The candidate grid is the installed one clamped to the
@@ -179,8 +156,7 @@ class GemmService:
                                thread_grid=grid)
         service = cls(bundle.predictor(cache_size=cache_size,
                                        thread_grid=grid, compiled=True),
-                      backend=execution,
-                      repeats=repeats, refine=refine)
+                      backend=execution, repeats=repeats)
         service._wire_routine_backend(service.routine, grid)
         service._machine_max = machine_max
         meta = cls._bundle_meta(bundle)
@@ -294,8 +270,6 @@ class GemmService:
             self.dispatcher.register_routine(routine, as_backend(backend))
         else:
             self._wire_routine_backend(routine, predictor.thread_grid)
-        if self.refiner is not None:
-            self.refiner.register_predictor(routine, predictor)
         return self
 
     @property
@@ -347,34 +321,10 @@ class GemmService:
         grid = self._clamped_grid(bundle, self._machine_max)
         predictor = bundle.predictor(cache_size=cache_size, thread_grid=grid,
                                      compiled=True)
-        new_refiner = None
-        if self.refiner is not None:
-            from repro.core.online import OnlineRefiner
-
-            predictors = dict(self._predictors)
-            predictors[routine] = predictor
-            default = predictors[self.routine]
-            new_refiner = OnlineRefiner(
-                default, explore_prob=self.refiner.explore_prob,
-                min_trials=self.refiner.min_trials)
-            for name, pred in predictors.items():
-                new_refiner.register_predictor(name, pred)
-            # Only the reloaded routine's measurements were taken under
-            # the retired model; every other routine keeps its
-            # accumulated refinement statistics.
-            new_refiner._shapes = {
-                key: state for key, state in self.refiner._shapes.items()
-                if key[0] != routine}
-        # Everything new is fully built before anything is published, and
-        # the predictor is published *first*: a concurrent run() snapshot
-        # taken mid-reload can pair the new predictor with the old
-        # refiner (whose choices still come from its own old predictor —
-        # never the other way round, which would serve the new bundle
-        # before the swap).  stats() raced against the counter fold may
-        # transiently under-report the retired predictor's counts.
+        # The predictor is fully built before it is published.  stats()
+        # raced against the counter fold may transiently under-report
+        # the retired predictor's counts.
         self._predictors[routine] = predictor  # atomic: in-flight hold old
-        if new_refiner is not None:
-            self.refiner = new_refiner
         if old is not None:
             retired = self._retired.setdefault(routine,
                                                dict.fromkeys(_COUNTERS, 0))
@@ -398,10 +348,12 @@ class GemmService:
     # -- prediction ------------------------------------------------------
     @property
     def cache(self):
+        self._ensure_open()
         return self.predictor.cache
 
     @property
     def thread_grid(self) -> np.ndarray:
+        self._ensure_open()
         return self.predictor.thread_grid
 
     def register_backend(self, spec_type: type, backend) -> "GemmService":
@@ -444,27 +396,19 @@ class GemmService:
 
     # -- execution -------------------------------------------------------
     def run(self, spec) -> GemmCallRecord:
-        """Predict (or refine), dispatch and record one call."""
+        """Predict, dispatch and record one call."""
         self._ensure_open()
         # predictor_for(spec), keeping the routine for the count.  A
         # snapshot: a concurrent reload() swaps the predictor map entry,
         # but this call must finish on the artefacts it started with.
         routine = routine_of(spec, self.routine)
-        predictor, refiner = self._predictors.get(routine), self.refiner
+        predictor = self._predictors.get(routine)
         if predictor is None:
             predictor = self._predictors[self.routine]
         hits_before = predictor.cache.hits
-        if refiner is not None:
-            rkey = _routine_key(spec)
-            n_threads = int(refiner.choose_threads(*rkey[1:],
-                                                   routine=rkey[0]))
-        else:
-            n_threads = predictor.predict_threads(*_shape_key(spec))
+        n_threads = predictor.predict_threads(*_shape_key(spec))
         memoised = predictor.cache.hits > hits_before
         record = self._dispatch(spec, n_threads, memoised)
-        if refiner is not None:
-            refiner.record(*rkey[1:], record.n_threads, record.runtime,
-                           routine=rkey[0])
         self._requests[routine] = self._requests.get(routine, 0) + 1
         self.n_memoised += memoised
         return record
@@ -480,11 +424,6 @@ class GemmService:
         uncached shapes, and every choice is bitwise identical to
         serving that routine's sub-stream through a dedicated
         single-routine service.
-
-        With ``refine`` on, the batch still pays one vectorised model
-        pass for all uncached shapes (seeding the refiner's priors),
-        after which the refiner may substitute a measured-better or
-        exploratory neighbour per call.
         """
         self._ensure_open()
         specs = list(specs)
@@ -492,7 +431,6 @@ class GemmService:
             return []
         # Snapshot: the whole batch resolves against one predictor map
         # even if reload() swaps the service's artefacts mid-dispatch.
-        refiner = self.refiner
         choices = np.empty(len(specs), dtype=np.int64)
         memoised = [False] * len(specs)
         groups, requests = self._group_by_predictor(specs)
@@ -506,17 +444,8 @@ class GemmService:
             for i, key in zip(indices, keys):
                 memoised[i] = key not in fresh or key in seen
                 seen.add(key)
-        records = []
-        for spec, n_threads, memo in zip(specs, choices, memoised):
-            if refiner is not None:
-                rkey = _routine_key(spec)
-                n_threads = refiner.choose_threads(*rkey[1:],
-                                                   routine=rkey[0])
-            record = self._dispatch(spec, int(n_threads), memo)
-            if refiner is not None:
-                refiner.record(*rkey[1:], record.n_threads, record.runtime,
-                               routine=rkey[0])
-            records.append(record)
+        records = [self._dispatch(spec, int(n_threads), memo)
+                   for spec, n_threads, memo in zip(specs, choices, memoised)]
         for routine, count in requests.items():
             self._requests[routine] = self._requests.get(routine, 0) + count
         self.n_memoised += sum(memoised)
@@ -602,7 +531,7 @@ class GemmService:
         plan/object path; ``table_interpolated`` is the sub-count of
         hits answered between lattice points.  Retired (hot-reloaded)
         predictors' counts are folded in, so the values are monotonic.
-        O(predictors): drift monitors read this after every batch.
+        O(predictors): ``GemmServer.stats()`` reads this per shard engine.
         """
         _, total = self._tallies()
         return {key: total[key] for key in _TABLE_KEYS}
@@ -680,15 +609,12 @@ class GemmService:
                 for name, predictor in predictors.items()}
         if self.bundle_info:
             stats["model_name"] = self.bundle_info.get("model_name", "")
-        if self.refiner is not None:
-            stats["refine_explorations"] = self.refiner.n_explorations
         return stats
 
     # -- lifecycle -------------------------------------------------------
     def close(self) -> None:
         """Release the models (paper: destroy the instance after last call)."""
         self._predictors = {self.routine: None}
-        self.refiner = None
         self._closed = True
 
     def _ensure_open(self) -> None:

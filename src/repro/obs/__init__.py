@@ -1,9 +1,8 @@
-"""repro.obs — observability: metrics, tracing, exporters, drift monitors.
+"""repro.obs — observability: metrics, tracing and exporters.
 
-The layer ROADMAP items 1 (canary/rollback) and 2 (drift-triggered
-retraining) stand on: a process-wide :class:`MetricsRegistry` every
-subsystem publishes into, per-request span traces with a bounded
-collector, Prometheus/JSONL exporters, and latching threshold monitors.
+A process-wide :class:`MetricsRegistry` every subsystem publishes into,
+per-request span traces with a bounded collector, and Prometheus/JSONL
+exporters.  Alerts belong on the exported series, outside the process.
 """
 
 from repro.obs.metrics import (
@@ -31,15 +30,6 @@ from repro.obs.exporters import (
     write_prometheus,
     write_snapshot,
 )
-from repro.obs.monitors import (
-    DriftEvent,
-    DriftMonitor,
-    MonitorSet,
-    cache_hit_rate_monitor,
-    p99_latency_monitor,
-    refiner_drift_monitor,
-    table_fallback_monitor,
-)
 
 __all__ = [
     "DEFAULT_CAPACITY", "Counter", "Gauge", "Histogram", "MetricsRegistry",
@@ -48,6 +38,4 @@ __all__ = [
     "CHAIN", "RequestTrace", "Span", "SpanCollector", "new_trace_id",
     "read_jsonl", "render_prometheus", "write_metrics_jsonl",
     "write_prometheus", "write_snapshot",
-    "DriftEvent", "DriftMonitor", "MonitorSet", "cache_hit_rate_monitor",
-    "p99_latency_monitor", "refiner_drift_monitor", "table_fallback_monitor",
 ]

@@ -25,7 +25,7 @@ place an exporter could read.  :class:`MetricsRegistry` is that place:
   bookkeeping, no cross-test leaks;
 * **events** — a bounded audit ring (:meth:`MetricsRegistry.event`) for
   discrete occurrences that are not time series: registry publishes,
-  hot reloads, drift-monitor firings.
+  training runs, fleet rollouts and worker deaths.
 
 A process-wide instance is available via :func:`default_registry`; the
 serving and training layers publish into it unless handed an explicit
@@ -229,7 +229,7 @@ class Counter(_Instrument):
 
 
 class Gauge(_Instrument):
-    """Last-written value (queue depth, stage duration, drift statistic)."""
+    """Last-written value (queue depth, stage duration, outstanding cost)."""
 
     kind = "gauge"
 

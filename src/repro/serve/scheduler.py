@@ -97,24 +97,19 @@ class MicroBatcher:
         is stamped (batch formation, execution window, the tier that
         answered its prediction) and finished into the collector.
         ``None`` keeps the hot path span-free.
-    after_batch:
-        Optional zero-argument callback invoked once per executed batch
-        after every future has resolved — the server evaluates its
-        drift monitors here.
 
     Entries are priced only when the policy carries a ``max_batch_cost``
     budget, so the count-only hot path stays cost-free.
     """
 
     def __init__(self, service, policy: BatchPolicy, telemetry, release,
-                 shard: str = "default", collector=None, after_batch=None):
+                 shard: str = "default", collector=None):
         self.service = service
         self.policy = policy
         self.telemetry = telemetry
         self.release = release
         self.shard = shard
         self.collector = collector
-        self.after_batch = after_batch
 
     async def run(self, queue: asyncio.Queue) -> None:
         """Consume ``queue`` until the shutdown sentinel arrives.
@@ -318,8 +313,6 @@ class MicroBatcher:
                 if not entry.future.done():
                     entry.future.set_exception(exc)
                 self.release(entry.client, entry.count)
-            if self.after_batch is not None:
-                self.after_batch()
             return
         t_done = loop.time()
         tiers = self._tiers_of(specs, records) \
@@ -342,5 +335,3 @@ class MicroBatcher:
                                       n_total, t_form, t_start, t_done)
             self.release(entry.client, n)
             offset += n
-        if self.after_batch is not None:
-            self.after_batch()

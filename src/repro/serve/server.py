@@ -8,7 +8,7 @@ family or replica — and a per-shard
 are fulfilled with one vectorised engine pass each.  Routing, admission,
 slab chopping and gathering are the shared
 :class:`~repro.serve.front.Front` path; this module supplies the shard
-side: a bounded queue per shard, its batcher, tracing and monitors.
+side: a bounded queue per shard, its batcher and tracing.
 
 Admission control is two-tiered:
 
@@ -31,7 +31,6 @@ from collections import Counter
 from typing import Optional
 
 from repro.obs.metrics import MetricsRegistry, default_registry
-from repro.obs.monitors import MonitorSet
 from repro.obs.tracing import RequestTrace, SpanCollector, new_trace_id
 from repro.serve.front import Front
 from repro.serve.request import ReloadCommand, SlabRequest
@@ -86,10 +85,6 @@ class GemmServer(Front):
         tracing adds zero model passes.
     trace_capacity:
         Ring-buffer bound on retained traces when ``tracing`` is on.
-    monitors:
-        A :class:`~repro.obs.monitors.MonitorSet` (or list of
-        :class:`~repro.obs.monitors.DriftMonitor`) evaluated against
-        this server after every executed batch.
     registry:
         The :class:`~repro.obs.metrics.MetricsRegistry` the server's
         telemetry publishes into (default: the process-wide one).
@@ -100,7 +95,7 @@ class GemmServer(Front):
                  max_batch_cost: Optional[float] = None,
                  max_queue: int = 64, max_pending: Optional[int] = None,
                  fair_share: Optional[float] = 0.5, tracing: bool = False,
-                 trace_capacity: int = 4096, monitors=None,
+                 trace_capacity: int = 4096,
                  registry: Optional[MetricsRegistry] = None):
         if hasattr(shards, "run_batch"):  # a bare GemmService
             shards = {"default": shards}
@@ -122,10 +117,6 @@ class GemmServer(Front):
             telemetry=ServeTelemetry(registry=self.registry),
             price_bursts=max_batch_cost is not None)
         self.collector = SpanCollector(trace_capacity) if tracing else None
-        if monitors is None or isinstance(monitors, MonitorSet):
-            self.monitors = monitors
-        else:
-            self.monitors = MonitorSet(monitors, registry=self.registry)
         self._queues: dict = {}
         self._tasks: list = []
 
@@ -135,14 +126,11 @@ class GemmServer(Front):
         if self._started:
             raise RuntimeError("server already started")
         self._started = True
-        after_batch = self._after_batch if self.monitors is not None \
-            and len(self.monitors) else None
         for name, service in self.shards.items():
             queue: asyncio.Queue = asyncio.Queue(maxsize=self.max_queue)
             batcher = MicroBatcher(service, self.policy, self.telemetry,
                                    release=self._release, shard=name,
-                                   collector=self.collector,
-                                   after_batch=after_batch)
+                                   collector=self.collector)
             self._queues[name] = queue
             self._tasks.append(asyncio.ensure_future(batcher.run(queue)))
         return self
@@ -205,10 +193,6 @@ class GemmServer(Front):
         except asyncio.QueueFull:
             return queue.put(slab)
         return None
-
-    def _after_batch(self) -> None:
-        """Per-executed-batch hook: evaluate the drift monitors."""
-        self.monitors.evaluate(self)
 
     # -- serving ---------------------------------------------------------
     async def submit(self, spec, client: str = "default",
@@ -330,6 +314,4 @@ class GemmServer(Front):
             out["max_batch_cost"] = self.policy.max_batch_cost
         if self.collector is not None:
             out["trace"] = self.collector.stats()
-        if self.monitors is not None and len(self.monitors):
-            out["monitors"] = self.monitors.stats()
         return out

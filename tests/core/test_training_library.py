@@ -122,6 +122,8 @@ class TestAdsalaGemm:
             g.gemm(64, 64, 64)
         with pytest.raises(RuntimeError, match="has been closed"):
             g.cache_stats
+        with pytest.raises(RuntimeError, match="has been closed"):
+            g.thread_grid
 
     def test_from_directory(self, tiny_bundle, tmp_path):
         bundle, sim = tiny_bundle

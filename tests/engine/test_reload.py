@@ -80,12 +80,3 @@ class TestReload:
         service.close()
         with pytest.raises(RuntimeError, match="closed"):
             service.reload(oracle_bundle(2))
-
-    def test_reload_rebuilds_refiner(self, tiny_sim):
-        service = GemmService.from_bundle(oracle_bundle(8), tiny_sim,
-                                          refine=True)
-        old_refiner = service.refiner
-        service.reload(oracle_bundle(2))
-        assert service.refiner is not old_refiner
-        assert service.refiner.predictor is service.predictor
-        assert service.refiner.explore_prob == old_refiner.explore_prob

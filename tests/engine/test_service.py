@@ -64,6 +64,10 @@ class TestSingleCalls:
         service.close()
         with pytest.raises(RuntimeError, match="has been closed"):
             service.stats()
+        with pytest.raises(RuntimeError, match="has been closed"):
+            service.cache
+        with pytest.raises(RuntimeError, match="has been closed"):
+            service.thread_grid
         assert service.memo_hit_rate == pytest.approx(0.5)
 
 

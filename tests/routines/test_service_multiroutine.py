@@ -206,25 +206,6 @@ class TestRoutineScopedReload:
         service.reload(routine_bundles["gemv"])
         assert [service.predict(s) for s in specs] == before
 
-    def test_reload_preserves_other_routines_refiner_state(
-            self, routine_bundles, tiny_sim):
-        from repro.engine import GemmService
-
-        service = GemmService.from_bundle(routine_bundles["gemm"], tiny_sim,
-                                          refine=True)
-        service.register_routine("gemv", bundle=routine_bundles["gemv"])
-        for _ in range(3):
-            service.run(GemmSpec(64, 512, 64))
-            service.run(GemvSpec(m=128, n=128))
-        assert ("gemm", 64, 512, 64) in service.refiner._shapes
-        gemm_state = service.refiner._state_for(64, 512, 64)
-        service.reload(routine_bundles["gemv"])
-        # The reloaded routine's measurements drop (stale model); every
-        # other routine keeps its accumulated statistics.
-        assert ("gemv", 128, 128, 1) not in service.refiner._shapes
-        kept = service.refiner._shapes[("gemm", 64, 512, 64)]
-        assert kept.calls == gemm_state.calls
-
     def test_reload_can_install_a_new_routine_with_execution(
             self, routine_bundles, tiny_sim):
         """A routine the service never served can arrive via reload();

@@ -1,11 +1,9 @@
-"""Serving observability: tracing, tier attribution, drift monitors.
+"""Serving observability: tracing and tier attribution.
 
 The acceptance properties of the observability layer, end to end:
 tracing changes no thread choice and adds no model pass; every served
-request yields one complete, well-formed span chain; the predict span
-records the tier that actually answered; and the table-fallback drift
-monitor fires exactly once when traffic leaves the lattice — never on
-in-lattice baseline traffic.
+request yields one complete, well-formed span chain; and the predict
+span records the tier that actually answered.
 """
 
 import asyncio
@@ -18,9 +16,6 @@ from repro.core.features import FeatureBuilder
 from repro.core.predictor import ThreadPredictor
 from repro.engine import GemmService, PredictionCache
 from repro.gemm.interface import GemmSpec
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.monitors import (DriftMonitor, MonitorSet,
-                                 table_fallback_monitor)
 from repro.obs.tracing import CHAIN
 from repro.serve.server import GemmServer
 
@@ -192,101 +187,3 @@ class TestTierAttribution:
 
         server = run(scenario())
         assert [t.tier for t in server.collector.traces()] == ["object"]
-
-
-class TestDriftMonitors:
-    def test_fallback_monitor_fires_once_on_off_lattice_shift(
-            self, make_tabled_service):
-        """The acceptance scenario: in-lattice baseline never fires;
-        an off-lattice traffic shift fires exactly once, not per batch."""
-        registry = MetricsRegistry()
-        fired = []
-        monitor = table_fallback_monitor(max_rate=0.2, min_lookups=4,
-                                         callback=fired.append)
-
-        async def scenario():
-            async with GemmServer(make_tabled_service(cache_size=1),
-                                  max_batch=4, max_wait_ms=0.5,
-                                  monitors=[monitor],
-                                  registry=registry) as server:
-                # Phase 1: in-lattice baseline — table answers everything.
-                await server.submit_many(LATTICE[:12])
-                baseline_fired = monitor.fired
-                # Phase 2: traffic shifts off the lattice.
-                await server.submit_many(OFF_LATTICE)
-                # Phase 3: stays off-lattice — must not re-fire.
-                await server.submit_many(OFF_LATTICE)
-                return server, baseline_fired
-
-        server, baseline_fired = run(scenario())
-        assert baseline_fired is None           # never on baseline
-        assert len(fired) == 1                  # exactly once on the shift
-        event = fired[0]
-        assert event.monitor == "table_fallback_rate"
-        assert event.value > 0.2
-        assert server.stats()["table_fallbacks"] == 2 * len(OFF_LATTICE)
-
-        # The firing is recorded everywhere an operator looks.
-        drift_events = registry.events("drift")
-        assert len(drift_events) == 1
-        assert drift_events[0]["monitor"] == "table_fallback_rate"
-        stats = server.stats()["monitors"]
-        assert stats["monitors"]["table_fallback_rate"]["fired"] is not None
-        assert len(stats["events"]) == 1
-
-    def test_in_lattice_baseline_alone_never_fires(self, make_tabled_service):
-        monitor = table_fallback_monitor(max_rate=0.2, min_lookups=4)
-
-        async def scenario():
-            async with GemmServer(make_tabled_service(cache_size=1),
-                                  max_batch=4, max_wait_ms=0.5,
-                                  monitors=[monitor],
-                                  registry=MetricsRegistry()) as server:
-                await server.submit_many(LATTICE)
-                return server
-
-        server = run(scenario())
-        assert monitor.fired is None
-        assert monitor.last_value == 0.0
-        assert server.stats()["table_hits"] == len(LATTICE)
-
-    def test_raising_callbacks_leave_the_shard_serving(self, make_service):
-        """A monitor callback or ``on_fire`` that raises is recorded as
-        a ``monitor_error`` event; the other monitors still fire and the
-        shard keeps serving."""
-        registry = MetricsRegistry()
-        seen = []
-
-        def boom(event):
-            raise RuntimeError(f"handler for {event.monitor} failed")
-
-        always = lambda server: (1.0, 1)  # noqa: E731 - fires at once
-        monitors = MonitorSet(
-            [DriftMonitor("first", always, above=0.5, callback=boom),
-             DriftMonitor("second", always, above=0.5,
-                          callback=seen.append)],
-            on_fire=boom, registry=registry)
-
-        async def scenario():
-            async with GemmServer(make_service(), max_batch=1,
-                                  max_wait_ms=0.0, monitors=monitors,
-                                  registry=registry) as server:
-                first = await server.submit(GemmSpec(64, 64, 64))
-                second = await asyncio.wait_for(
-                    server.submit(GemmSpec(96, 64, 64)), 3.0)
-                return server, first, second
-
-        server, first, second = run(scenario())
-        assert first.n_threads == second.n_threads == 8
-        assert [e.monitor for e in seen] == ["second"]
-        assert [e["monitor"] for e in registry.events("drift")] \
-            == ["first", "second"]
-        errors = [(e["monitor"], e["stage"], e["error"])
-                  for e in registry.events("monitor_error")]
-        assert errors == [("first", "callback", "RuntimeError"),
-                          ("first", "on_fire", "RuntimeError"),
-                          ("second", "on_fire", "RuntimeError")]
-        stats = server.stats()
-        assert stats["served"] == 2 and stats["pending"] == 0
-        assert all(entry["fired"] is not None
-                   for entry in stats["monitors"]["monitors"].values())
