@@ -425,7 +425,7 @@ def test_slab_submit_future_economy(table_bundle, save_result,
                                            compiled=True, table=True)
         service = GemmService(predictor, backend=backend)
         return GemmServer(service, max_batch=16, max_wait_ms=MAX_WAIT_MS,
-                          max_queue=1024, max_pending=2048, fair_share=None)
+                          max_queue=1024, max_pending=2048)
 
     created = []
 
@@ -639,7 +639,7 @@ def test_fleet_throughput(fleet_registry, save_result, save_bench_json):
             backend=CpuBoundBackend(iters=FLEET_ITERS,
                                     sleep_s=FLEET_KERNEL_S))
         server = GemmServer(service, max_batch=16, max_wait_ms=2.0,
-                            max_queue=512, fair_share=None)
+                            max_queue=512)
         async with server:
             t0 = time.perf_counter()
             records = await server.submit_many(burst)
@@ -779,8 +779,7 @@ def test_cost_aware_batching(fleet_registry, save_result, save_bench_json):
                                              SECONDS_PER_FLOP))
         server = GemmServer(service, max_batch=64,
                             max_wait_ms=COST_WINDOW_MS, max_queue=1024,
-                            max_pending=2048, fair_share=None,
-                            max_batch_cost=max_batch_cost)
+                            max_pending=2048, max_batch_cost=max_batch_cost)
         return replay_trace(server, trace)
 
     count_only = replay(None)

@@ -43,7 +43,7 @@ Subpackages
 ``repro.serve``
     The async serving subsystem: ``GemmServer`` with dynamic
     micro-batching, admission control (backpressure + overload
-    rejection + fair share), multi-tenant shard routing and
+    rejection), multi-tenant shard routing and
     zero-downtime bundle hot-reload.
 ``repro.train``
     The staged training pipeline: resumable content-addressed stages,

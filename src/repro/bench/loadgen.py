@@ -19,8 +19,9 @@ deterministic because prediction never touches the backend.
 Everything here is importable by dotted path from spawned fleet
 workers (:class:`repro.fleet.WorkerSpec` carries factory paths, not
 objects), which is also why :class:`ThreadBiasModel` lives in product
-code rather than a test file: rollout drills publish bundles carrying
-it, and a published bundle must unpickle inside any worker process.
+code rather than a test file: a registry publish of a bundle carrying
+it rolls a watching fleet, and a published bundle must unpickle inside
+any worker process.
 """
 
 from __future__ import annotations
@@ -112,8 +113,8 @@ class ThreadBiasModel:
     selection then deterministically picks the grid point closest to
     ``target``.  Publishing a bundle with a *different* target is the
     canonical way to mint a registry version whose selections diverge
-    from the incumbent — exactly what a canary rollout must detect and
-    roll back.
+    from the incumbent, so the served thread counts show which version
+    a worker has rolled to.
     """
 
     def __init__(self, target: int = 1, column: int = 3):

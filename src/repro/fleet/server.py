@@ -1,12 +1,12 @@
-"""The fleet front: admission, routing and rollout over worker processes.
+"""The fleet front: admission and routing over worker processes.
 
 :class:`FleetServer` owns N spawned worker processes (each a full
 :class:`~repro.serve.server.GemmServer` over its own
 :class:`~repro.engine.service.GemmService`, rebuilt from a
 :class:`~repro.fleet.spec.WorkerSpec`) and presents the *same* awaitable
 surface as a single server: ``async with``, ``submit``, ``submit_many``,
-``reload``, ``stats`` — so :func:`~repro.serve.trace.replay_trace`
-drives a fleet unchanged.
+``stats`` — so :func:`~repro.serve.trace.replay_trace` drives a fleet
+unchanged.
 
 Request flow is the shared :class:`~repro.serve.front.Front` path: a
 burst routes over the alive workers (least-loaded by live in-flight
@@ -21,18 +21,13 @@ bounds that), and one reader task resolves futures as frames come back.
 No frame crosses a thread.
 
 A worker death fans :class:`WorkerFailed` out to exactly the requests
-that were on that worker, removes it from the routing ring, and leaves
-the rest of the fleet serving; :meth:`FleetServer.respawn` rebuilds it
-from its spec, which rejoins with the registry's *current* ``latest``.
+that were on that worker, removes it from routing, and leaves the rest
+of the fleet serving.
 
 Rollout is registry-driven: workers built with ``watch_interval_s``
-hot-reload on publish by themselves, and :meth:`FleetServer.rollout`
-is the managed path — reload one canary, divert a deterministic
-traffic fraction to it, probe canary against a reference worker, then
-promote the version fleet-wide or roll the canary back.  Either way
-the swap rides each worker's FIFO
-:class:`~repro.serve.request.ReloadCommand` queue: in-flight requests
-finish on the old bundle and nothing is dropped.
+hot-reload on publish by themselves, each swap riding the worker's FIFO
+:class:`~repro.serve.request.ReloadCommand` queue, so in-flight
+requests finish on the old bundle and nothing is dropped.
 """
 
 from __future__ import annotations
@@ -44,13 +39,12 @@ import socket
 from repro.fleet.spec import WorkerSpec
 from repro.fleet.telemetry import FleetTelemetry
 from repro.fleet.transport import (ErrorFrame, ReadyFrame, ReloadedFrame,
-                                   ReloadFrame, ResultFrame, SlabFrame,
-                                   StatsFrame, StatsReply, StopFrame,
-                                   StoppedFrame, encode, read_frame)
+                                   ResultFrame, SlabFrame, StatsFrame,
+                                   StatsReply, StopFrame, StoppedFrame,
+                                   encode, read_frame)
 from repro.fleet.worker import worker_main
 from repro.serve.front import Front
-from repro.serve.request import ServerOverloaded
-from repro.serve.router import (CanaryRouter, ConsistentHashRouter,
+from repro.serve.router import (ConsistentHashRouter,
                                 CostAwareLeastLoadedRouter,
                                 LeastLoadedRouter)
 
@@ -64,16 +58,12 @@ class _Worker:
 
     def __init__(self, spec: WorkerSpec):
         self.spec = spec
-        self.reset()
-
-    def reset(self) -> None:
-        """Forget the previous incarnation before a (re)spawn."""
         self.process = None
         self.writer = None          # asyncio.StreamWriter to the worker
         self.pid = None
         self.alive = False
-        self.dead_handled = False   # _on_death ran for this incarnation
-        # msg_id -> (future, n_slots, t0, cost, client)
+        self.dead_handled = False   # _on_death ran
+        # msg_id -> (future, n_slots, t0, cost)
         self.pending: dict = {}
         self.in_flight = 0
         self.cost_in_flight = 0.0   # outstanding predicted FLOPs
@@ -85,8 +75,8 @@ class _Worker:
 class FleetServer(Front):
     """Front router over a pool of spawned ``GemmServer`` processes.
 
-    Admission is fleet-wide and all-or-nothing, with no per-client fair
-    share (each worker's own server runs without one too).
+    Admission is fleet-wide and all-or-nothing, by the same
+    ``max_pending`` rule as a single :class:`~repro.serve.server.GemmServer`.
 
     Parameters
     ----------
@@ -127,7 +117,6 @@ class FleetServer(Front):
             self._build_router(router),
             max_pending=(int(max_pending) if max_pending is not None
                          else 2 * sum(s.max_queue for s in specs)),
-            fair_share=None,
             telemetry=FleetTelemetry(names, registry=registry),
             price_bursts=True)
         self.spawn_timeout_s = float(spawn_timeout_s)
@@ -228,7 +217,6 @@ class FleetServer(Front):
             writer.close()
             raise WorkerFailed(f"worker {worker.spec.name!r} sent "
                                f"{type(ready).__name__} instead of ready")
-        worker.reset()
         worker.process, worker.writer = process, writer
         worker.pid = ready.pid
         worker.versions = dict(ready.versions)
@@ -285,14 +273,12 @@ class FleetServer(Front):
                 return
             entry = self._settle(worker, frame.msg_id)
             if entry is not None:
-                self._fail(worker, entry, self._rebuild_error(worker, frame))
+                self._fail(worker, entry, WorkerFailed(
+                    f"worker {worker.spec.name!r} {frame.kind}: "
+                    f"{frame.message}"))
         elif isinstance(frame, ReloadedFrame):
             worker.versions[frame.routine] = frame.version
             self.telemetry.record_reload(worker.spec.name)
-            if frame.msg_id is not None:
-                entry = self._settle(worker, frame.msg_id)
-                if entry is not None and not entry[0].done():
-                    entry[0].set_result(frame)
         elif isinstance(frame, StatsReply):
             entry = self._settle(worker, frame.msg_id)
             if entry is not None and not entry[0].done():
@@ -301,14 +287,6 @@ class FleetServer(Front):
             worker.final_stats = frame.stats
             worker.versions = dict(frame.stats.get("versions",
                                                    worker.versions))
-
-    @staticmethod
-    def _rebuild_error(worker: _Worker, frame: ErrorFrame):
-        """Give worker-side rejections back their admission type."""
-        if frame.kind == "ServerOverloaded":
-            return ServerOverloaded(frame.message)
-        return WorkerFailed(f"worker {worker.spec.name!r} {frame.kind}: "
-                            f"{frame.message}")
 
     def _on_death(self, worker: _Worker) -> None:
         """Bookkeeping when a worker's socket goes quiet (crash or stop)."""
@@ -334,24 +312,6 @@ class FleetServer(Front):
                                           worker=worker.spec.name,
                                           pid=worker.pid,
                                           n_pending=n_pending)
-
-    async def respawn(self, name: str) -> int:
-        """Rebuild a dead worker from its spec; returns the new pid.
-
-        The respawned process loads from the registry afresh, so it
-        rejoins with the *current* ``latest`` — even if the fleet
-        rolled versions while it was down.
-        """
-        self._check_open()
-        worker = self._workers[name]
-        if worker.alive:
-            raise WorkerFailed(f"worker {name!r} is still alive")
-        await self._spawn(worker)
-        add = getattr(self.router, "add", None)
-        if add is not None:
-            add(name)
-        self.telemetry.record_respawn(name)
-        return worker.pid
 
     async def close(self) -> None:
         if not self._started or self._closed:
@@ -409,17 +369,17 @@ class FleetServer(Front):
     def _deliver(self, worker, name, specs, routines, cost, client, future,
                  trace_id) -> None:
         """Register the slab's msg_id and write its frame to the worker."""
-        msg_id = self._register(worker, future, len(specs), cost, client)
+        msg_id = self._register(worker, future, len(specs), cost)
         self.telemetry.record_dispatch(name, len(specs))
         self._send(worker, SlabFrame(msg_id, tuple(specs), client=client))
 
     def _register(self, worker: _Worker, future, n_slots: int = 0,
-                  cost: float = 0.0, client: str = None) -> int:
+                  cost: float = 0.0) -> int:
         """Allocate a msg_id for ``future``; account slots and cost."""
         self._msg_id += 1
         msg_id = self._msg_id
         worker.pending[msg_id] = (future, n_slots, future.get_loop().time(),
-                                  cost, client)
+                                  cost)
         worker.in_flight += n_slots
         worker.cost_in_flight += cost
         if cost:
@@ -433,10 +393,9 @@ class FleetServer(Front):
         entry = worker.pending.pop(msg_id, None)
         if entry is None:
             return None
-        _, n_slots, _, cost, client = entry
+        _, n_slots, _, cost = entry
         worker.in_flight -= n_slots
-        if n_slots:
-            self._release(client, n_slots)
+        self._release(n_slots)
         if cost:
             worker.cost_in_flight = max(0.0, worker.cost_in_flight - cost)
             self.telemetry.record_outstanding(worker.spec.name,
@@ -456,8 +415,8 @@ class FleetServer(Front):
                      trace_id: str = None, worker: str = None):
         """Serve one request; returns its ``GemmCallRecord``.
 
-        ``worker`` pins the request to a named worker (rollout probes);
-        otherwise the router decides.  ``trace_id`` is accepted for
+        ``worker`` pins the request to a named worker; otherwise the
+        router decides.  ``trace_id`` is accepted for
         :func:`~repro.serve.trace.replay_trace` compatibility (the
         worker's own server assigns trace ids when tracing is on).
         """
@@ -474,101 +433,6 @@ class FleetServer(Front):
         the first failure is raised after every slab has settled.
         """
         return await self._serve(list(specs), client, worker)
-
-    # -- control plane ----------------------------------------------------
-    async def reload(self, routine: str, version="latest",
-                     workers=None) -> dict:
-        """Hot-swap one routine's bundle on ``workers`` (default: all alive).
-
-        Each worker loads the version from *its own* registry handle and
-        applies it through its server's FIFO reload path — in-flight
-        requests finish on the old bundle.  Returns
-        ``{worker: {"routine", "version", "generation"}}``.
-        """
-        self._check_open()
-        targets = [w for w in self._alive()
-                   if workers is None or w.spec.name in set(workers)]
-        if not targets:
-            raise WorkerFailed("no alive workers to reload")
-        loop = asyncio.get_running_loop()
-        acks = {}
-        for target in targets:
-            future = loop.create_future()
-            msg_id = self._register(target, future)
-            self._send(target, ReloadFrame(msg_id, str(routine), version))
-            acks[target.spec.name] = future
-        out = {}
-        for name, future in acks.items():
-            frame = await asyncio.wait_for(future, self.spawn_timeout_s)
-            out[name] = {"routine": frame.routine, "version": frame.version,
-                         "generation": frame.generation}
-        return out
-
-    async def rollout(self, routine: str, version="latest",
-                      canary: str = None, fraction: float = 0.25,
-                      probes=(), max_divergence: float = 0.0,
-                      client: str = "rollout-probe") -> dict:
-        """Canary-then-promote a registry version across the fleet.
-
-        One worker (``canary``, default the first alive) reloads to
-        ``version``; a :class:`~repro.serve.router.CanaryRouter` then
-        diverts a deterministic ``fraction`` of live traffic to it while
-        every ``probes`` spec is served by both the canary and a
-        reference worker.  If the fraction of probes whose thread
-        selection diverges exceeds ``max_divergence`` the canary rolls
-        back to its prior version; otherwise the version is promoted to
-        the rest of the fleet.  Returns the decision report.
-        """
-        self._check_open()
-        alive = [w.spec.name for w in self._alive()]
-        if len(alive) < 2:
-            raise WorkerFailed(f"rollout needs >= 2 alive workers, "
-                               f"have {len(alive)}")
-        canary = str(canary) if canary is not None else alive[0]
-        if canary not in alive:
-            raise KeyError(f"canary {canary!r} is not an alive worker "
-                           f"(have {alive})")
-        reference = next(name for name in alive if name != canary)
-        probes = list(probes)  # read once: a generator yields only once
-        old_version = self._workers[canary].versions.get(str(routine))
-        ack = await self.reload(routine, version=version, workers=[canary])
-        report = {"routine": str(routine), "canary": canary,
-                  "reference": reference, "fraction": float(fraction),
-                  "old_version": old_version,
-                  "version": ack[canary]["version"],
-                  "n_probes": len(probes)}
-        base_router = self.router
-        self.router = CanaryRouter(base_router, canary, fraction=fraction)
-        try:
-            divergence = None
-            if probes:
-                canary_records = await self.submit_many(
-                    probes, client=client, worker=canary)
-                reference_records = await self.submit_many(
-                    probes, client=client, worker=reference)
-                diverged = sum(
-                    1 for a, b in zip(canary_records, reference_records)
-                    if a.n_threads != b.n_threads)
-                divergence = diverged / len(probes)
-            report["divergence"] = divergence
-        finally:
-            self.router = base_router
-        promote = divergence is None or divergence <= float(max_divergence)
-        if promote:
-            rest = [name for name in alive if name != canary]
-            if rest:
-                await self.reload(routine, version=version, workers=rest)
-            report["action"] = "promoted"
-        else:
-            if old_version is not None:
-                await self.reload(routine, version=old_version,
-                                  workers=[canary])
-            report["action"] = "rolled_back"
-        self.telemetry.registry.event(
-            "fleet_rollout", routine=report["routine"], canary=canary,
-            version=report["version"], action=report["action"],
-            divergence=report["divergence"])
-        return report
 
     # -- stats ------------------------------------------------------------
     async def worker_stats(self) -> dict:

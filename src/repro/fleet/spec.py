@@ -14,9 +14,9 @@ interpreter from the spec:
 * an optional backend override from a dotted ``"module:attr"`` factory
   path plus plain keyword arguments.
 
-Respawning a dead worker from the same spec therefore rejoins the
-fleet with the registry's *current* state, not a snapshot pickled at
-launch — the registry stays the single control plane.
+A worker therefore starts on the registry's state at spawn, not a
+snapshot pickled into the parent — the registry stays the single
+control plane.
 """
 
 from __future__ import annotations
@@ -162,12 +162,10 @@ class WorkerSpec:
         from repro.serve.server import GemmServer
 
         # The front owns admission: its max_pending bounds the requests
-        # in every worker, so the worker keeps no pending cap (one of its
-        # own could refuse a burst the front admitted) and no fair share
-        # (inside a worker every request is already one fleet client's).
-        # The queue's max_queue backpressure stays.
+        # in every worker, so the worker keeps no pending cap of its own
+        # (one could refuse a burst the front admitted).  The queue's
+        # max_queue backpressure stays.
         return GemmServer(service, max_batch=self.max_batch,
                           max_wait_ms=self.max_wait_ms,
                           max_batch_cost=self.max_batch_cost,
-                          max_queue=self.max_queue, max_pending=sys.maxsize,
-                          fair_share=None)
+                          max_queue=self.max_queue, max_pending=sys.maxsize)

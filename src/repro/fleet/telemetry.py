@@ -2,7 +2,7 @@
 
 The fleet front counts per slab, not per call, so its counts live in
 the :class:`~repro.obs.metrics.MetricsRegistry` and nowhere else: every
-dispatch, completion, failure, reload and respawn increments an
+dispatch, completion, failure and reload increments an
 instrument labelled ``component="fleet", instance=<fleet-N>,
 worker=<name>``.  Exporters see per-worker series,
 :meth:`~repro.obs.metrics.MetricsRegistry.total` /
@@ -22,8 +22,7 @@ from repro.obs.metrics import (MetricsRegistry, Reservoir, default_registry,
 class FleetTelemetry:
     """Registry instruments for one fleet front, one set per worker."""
 
-    COUNTERS = ("dispatched", "completed", "failed", "frames",
-                "reloads", "respawns")
+    COUNTERS = ("dispatched", "completed", "failed", "frames", "reloads")
 
     def __init__(self, workers, registry: MetricsRegistry = None):
         self.registry = registry if registry is not None \
@@ -87,9 +86,6 @@ class FleetTelemetry:
 
     def record_reload(self, worker: str) -> None:
         self._instruments(worker)["reloads"].inc()
-
-    def record_respawn(self, worker: str) -> None:
-        self._instruments(worker)["respawns"].inc()
 
     # -- reading ---------------------------------------------------------
     def latency_ms(self, worker: str = None) -> Reservoir:

@@ -15,9 +15,10 @@ future each, not 256, and lands in the worker as ready-made
 micro-batches.
 
 Correlation is by ``msg_id``: the front allocates ids, workers echo
-them on :class:`ResultFrame`/:class:`ErrorFrame`/ack frames.  Frames a
-worker originates on its own (registry-watch reloads, the final
-:class:`StoppedFrame`) carry no id.
+them on :class:`ResultFrame`, :class:`ErrorFrame` and
+:class:`StatsReply`.  Frames a worker originates on its own (a
+registry-watch :class:`ReloadedFrame`, the final :class:`StoppedFrame`)
+carry no id.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 import pickle
 import struct
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Tuple
 
 from repro.serve.front import chunk_slots  # noqa: F401 - frame sizing
 
@@ -59,15 +60,6 @@ class SlabFrame:
     msg_id: int
     specs: tuple
     client: str = "default"
-
-
-@dataclass(frozen=True)
-class ReloadFrame:
-    """Hot-swap one routine's bundle from the worker's registry."""
-
-    msg_id: int
-    routine: str
-    version: object = "latest"  # int or "latest"
 
 
 @dataclass(frozen=True)
@@ -108,7 +100,8 @@ class ResultFrame:
 
 @dataclass(frozen=True)
 class ErrorFrame:
-    """A slab or control frame failed inside the worker."""
+    """A slab failed inside the worker (``msg_id`` set), or the worker
+    got a frame of a type it does not serve (``msg_id`` ``None``)."""
 
     msg_id: int
     message: str
@@ -117,17 +110,10 @@ class ErrorFrame:
 
 @dataclass(frozen=True)
 class ReloadedFrame:
-    """A bundle swap completed.
+    """The worker's registry watcher swapped in a new bundle."""
 
-    ``msg_id`` echoes the triggering :class:`ReloadFrame`, or is
-    ``None`` when the worker's own registry watcher initiated the
-    swap.
-    """
-
-    msg_id: Optional[int]
     routine: str
     version: int
-    generation: int = 0
 
 
 @dataclass(frozen=True)

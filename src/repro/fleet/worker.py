@@ -6,13 +6,12 @@ worker rebuilds everything from its :class:`~repro.fleet.spec.WorkerSpec`
 frames off its end of the front's socket pair: slab frames become
 ``submit_many`` bursts (each one arriving pre-chunked to ``max_batch``,
 so it lands as exactly one :class:`~repro.serve.request.SlabRequest`
-queue entry), reload frames go through the server's FIFO
-:class:`~repro.serve.request.ReloadCommand` path (zero-downtime by queue
-ordering), and stats frames snapshot the server.  With
+queue entry), and stats frames snapshot the server.  With
 ``watch_interval_s`` set, a background task polls the registry's
-``latest`` refs and hot-reloads changed cells on its own, notifying the
-front with an unsolicited ``ReloadedFrame`` — publishing to the
-registry *is* the rollout trigger.
+``latest`` refs and hot-reloads changed cells through the server's FIFO
+:class:`~repro.serve.request.ReloadCommand` path (zero-downtime by queue
+ordering), notifying the front with a ``ReloadedFrame`` — publishing to
+the registry *is* the rollout trigger.
 
 The socket runs on the worker's event loop: frames are read with
 :func:`~repro.fleet.transport.read_frame` and every reply is one
@@ -29,9 +28,9 @@ import asyncio
 import os
 
 from repro.fleet.transport import (ErrorFrame, ReadyFrame, ReloadedFrame,
-                                   ReloadFrame, ResultFrame, SlabFrame,
-                                   StatsFrame, StatsReply, StopFrame,
-                                   StoppedFrame, encode, read_frame)
+                                   ResultFrame, SlabFrame, StatsFrame,
+                                   StatsReply, StopFrame, StoppedFrame,
+                                   encode, read_frame)
 
 
 def worker_main(spec, sock) -> None:
@@ -48,12 +47,9 @@ def worker_main(spec, sock) -> None:
 
 
 async def _serve(spec, sock) -> None:
-    from repro.train.registry import ModelRegistry
-
     service, versions = spec.build_service()
     server = spec.build_server(service)
     versions = dict(versions)   # routine -> version serving now
-    registry = ModelRegistry(spec.registry_root)
     reader, writer = await asyncio.open_connection(sock=sock)
 
     def send(frame) -> None:
@@ -72,7 +68,7 @@ async def _serve(spec, sock) -> None:
     watcher_task = None
     if spec.watch_interval_s:
         watcher_task = asyncio.ensure_future(
-            _watch_registry(spec, registry, server, versions, send))
+            _watch_registry(spec, server, versions, send))
     try:
         while True:
             try:
@@ -83,9 +79,6 @@ async def _serve(spec, sock) -> None:
                 break
             if isinstance(frame, SlabFrame):
                 _track(_serve_slab(server, send, frame))
-            elif isinstance(frame, ReloadFrame):
-                _track(_apply_reload(spec, registry, server, versions,
-                                     send, frame))
             elif isinstance(frame, StatsFrame):
                 send(StatsReply(frame.msg_id,
                                 _stats(spec, server, versions)))
@@ -113,24 +106,11 @@ async def _serve_slab(server, send, frame) -> None:
         send(ErrorFrame(frame.msg_id, str(exc), kind=type(exc).__name__))
 
 
-async def _apply_reload(spec, registry, server, versions, send,
-                        frame) -> None:
-    try:
-        bundle = registry.load(frame.routine, spec.machine,
-                               version=frame.version)
-        summary = await server.reload(bundle, routine=frame.routine)
-        version = registry.resolve(frame.routine, spec.machine,
-                                   frame.version).version
-        versions[frame.routine] = version
-        generation = max(s.get("generation", 0) for s in summary.values())
-        send(ReloadedFrame(frame.msg_id, frame.routine, version,
-                           generation=generation))
-    except BaseException as exc:  # noqa: BLE001 - old bundle keeps serving
-        send(ErrorFrame(frame.msg_id, str(exc), kind=type(exc).__name__))
-
-
-async def _watch_registry(spec, registry, server, versions, send) -> None:
+async def _watch_registry(spec, server, versions, send) -> None:
     """Poll ``latest`` refs; hot-reload and notify on every change."""
+    from repro.train.registry import ModelRegistry
+
+    registry = ModelRegistry(spec.registry_root)
     watcher = registry.watch(
         [(routine, spec.machine) for routine in versions],
         versions={(routine, spec.machine): version
@@ -147,16 +127,13 @@ async def _watch_registry(spec, registry, server, versions, send) -> None:
                 bundle = await loop.run_in_executor(
                     None, registry.load, record.routine, spec.machine,
                     record.version)
-                summary = await server.reload(bundle, routine=record.routine)
+                await server.reload(bundle, routine=record.routine)
             except asyncio.CancelledError:
                 raise
             except Exception:
                 continue  # keep serving the old bundle; retry next poll
             versions[record.routine] = record.version
-            generation = max(s.get("generation", 0)
-                             for s in summary.values())
-            send(ReloadedFrame(None, record.routine, record.version,
-                               generation=generation))
+            send(ReloadedFrame(record.routine, record.version))
 
 
 def _stats(spec, server, versions) -> dict:

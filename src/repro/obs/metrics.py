@@ -25,7 +25,7 @@ place an exporter could read.  :class:`MetricsRegistry` is that place:
   bookkeeping, no cross-test leaks;
 * **events** — a bounded audit ring (:meth:`MetricsRegistry.event`) for
   discrete occurrences that are not time series: registry publishes,
-  training runs, fleet rollouts and worker deaths.
+  training runs, fleet worker errors and deaths.
 
 A process-wide instance is available via :func:`default_registry`; the
 serving and training layers publish into it unless handed an explicit

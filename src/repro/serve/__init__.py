@@ -9,14 +9,14 @@ request stream:
                                    |                     |
                           admission control        MicroBatcher
                        (backpressure, hard        (max_batch OR
-                        limit, fair share)         max_wait_ms window)
+                        limit)                     max_wait_ms window)
                                                          |
                                               GemmService.run_batch
                                               (one vectorised pass)
 
 * :class:`GemmServer` — asyncio front door: admission control with
-  backpressure, :class:`ServerOverloaded` rejection and per-client
-  fair-share caps; multi-tenant shard routing; telemetry.
+  backpressure and :class:`ServerOverloaded` rejection past one
+  ``max_pending`` limit; multi-tenant shard routing; telemetry.
 * :class:`~repro.serve.front.Front` — the route → admit → slab →
   gather path :class:`GemmServer` and the fleet's
   :class:`~repro.fleet.server.FleetServer` share; ``submit`` is its
@@ -33,8 +33,6 @@ request stream:
   :class:`~repro.serve.router.LeastLoadedRouter` /
   :class:`~repro.serve.router.CostAwareLeastLoadedRouter` (live
   in-flight slots / outstanding predicted FLOPs),
-  :class:`~repro.serve.router.CanaryRouter` (deterministic
-  traffic-fraction split for rollouts),
   :class:`~repro.serve.router.RoutineRouter` (per routine family),
   :class:`~repro.serve.router.TenantRouter` (per client).
 * :mod:`~repro.serve.trace` — Poisson load generation and the replay
@@ -47,7 +45,7 @@ engine's batch prediction is exact.
 
 from repro.serve.front import chunk_slots
 from repro.serve.request import ReloadCommand, ServerClosed, ServerOverloaded
-from repro.serve.router import (CanaryRouter, ConsistentHashRouter,
+from repro.serve.router import (ConsistentHashRouter,
                                 CostAwareLeastLoadedRouter,
                                 LeastLoadedRouter, RoutineRouter,
                                 ShardRouter, SingleShardRouter,
@@ -60,7 +58,6 @@ from repro.serve.trace import (ReplayOutcome, TimedRequest, poisson_trace,
 
 __all__ = [
     "BatchPolicy",
-    "CanaryRouter",
     "ConsistentHashRouter",
     "CostAwareLeastLoadedRouter",
     "GemmServer",

@@ -12,9 +12,8 @@ reaches a shard; :meth:`Front._serve` does every other step, once:
 2. route the burst with one ``route_batch`` call and check that every
    target shard exists;
 3. price and chop each shard's slots into slabs (:func:`chunk_slots`);
-4. admit the burst all-or-nothing against ``max_pending`` (and the
-   optional per-client fair share), counting rejections per client,
-   reason and routine;
+4. admit the burst all-or-nothing against ``max_pending``, counting
+   rejections per client and routine;
 5. hand each slab to its shard with one future, and release every
    admitted slot exactly once: the shard releases a slab when it
    finishes it, the front releases at once a slab that never reached
@@ -91,9 +90,8 @@ class Front:
     router:
         Maps a burst to shard names (``route_batch(specs, client)``).
     max_pending:
-        Hard cap on admitted-but-unfinished requests.
-    fair_share:
-        Fraction of ``max_pending`` one client may hold, or ``None``.
+        Hard cap on admitted-but-unfinished requests, whoever holds
+        them.
     telemetry:
         Receives ``record_rejection(client, reason, routine=, n=)``.
     price_bursts:
@@ -102,20 +100,15 @@ class Front:
         fleet also prices to track each worker's outstanding cost.
     """
 
-    def __init__(self, router, max_pending: int,
-                 fair_share: Optional[float], telemetry,
+    def __init__(self, router, max_pending: int, telemetry,
                  price_bursts: bool = False):
         if max_pending < 1:
             raise ValueError("max_pending must be >= 1")
-        if fair_share is not None and not 0.0 < fair_share <= 1.0:
-            raise ValueError("fair_share must be in (0, 1] or None")
         self.router = router
         self.max_pending = int(max_pending)
-        self.fair_share = fair_share
         self.telemetry = telemetry
         self._price_bursts = price_bursts
         self._pending = 0
-        self._client_pending: dict = {}
         self._started = False
         self._closing = False
 
@@ -143,57 +136,38 @@ class Front:
         if self._closing:
             raise ServerClosed(f"{type(self).__name__} is shutting down")
 
-    def _fair_share_cap(self) -> int:
-        return max(1, int(self.max_pending * self.fair_share))
-
     def _admit(self, client: str, routines: list) -> None:
         """All-or-nothing admission of ``len(routines)`` slots.
 
-        A burst that does not fit — the hard limit or the client's fair
-        share — is rejected whole: admitting part of it would hand the
-        caller a result list with holes.  Every refused slot is counted
-        per client, reason and routine.
+        A burst that does not fit under ``max_pending`` is rejected
+        whole: admitting part of it would hand the caller a result list
+        with holes.  Every refused slot is counted per client and
+        routine.
         """
         n = len(routines)
-        held = self._client_pending.get(client, 0)
-        if self._pending + n > self.max_pending:
-            reason = "overload"
-            message = (f"{self._pending} requests pending + {n} more "
-                       f"exceeds limit {self.max_pending}")
-        elif (self.fair_share is not None
-              and held + n > self._fair_share_cap()):
-            reason = "fair_share"
-            message = (f"client {client!r} holds {held} of "
-                       f"{self.max_pending} admission slots; {n} more "
-                       f"exceeds the fair-share cap "
-                       f"{self._fair_share_cap()}")
-        else:
+        if self._pending + n <= self.max_pending:
             self._pending += n
-            self._client_pending[client] = held + n
             return
         for routine, count in Counter(routines).items():
-            self.telemetry.record_rejection(client, reason, routine=routine,
-                                            n=count)
-        raise ServerOverloaded(message, client=client, reason=reason)
+            self.telemetry.record_rejection(client, "overload",
+                                            routine=routine, n=count)
+        raise ServerOverloaded(f"{self._pending} requests pending + {n} "
+                               f"more exceeds limit {self.max_pending}",
+                               client=client)
 
-    def _release(self, client: str, n: int) -> None:
-        """Return ``n`` of ``client``'s admission slots."""
+    def _release(self, n: int) -> None:
+        """Return ``n`` admission slots."""
         self._pending -= n
-        remaining = self._client_pending[client] - n
-        if remaining > 0:
-            self._client_pending[client] = remaining
-        else:
-            del self._client_pending[client]  # no unbounded growth
 
     # -- the request path --------------------------------------------------
-    async def _arrive(self, wait, client: str, unsent: int) -> None:
+    async def _arrive(self, wait, unsent: int) -> None:
         """Await a slab's delivery (backpressure).  If it never arrives —
         the caller was cancelled — release the ``unsent`` slots, its own
         and those of the burst's slabs not yet delivered."""
         try:
             await wait
         except BaseException:
-            self._release(client, unsent)
+            self._release(unsent)
             raise
 
     async def _serve(self, specs: list, client: str,
@@ -221,7 +195,7 @@ class Front:
                 cost_of_one(specs[0]) if self._price_bursts else 0.0,
                 client, future, trace_id)
             if wait is not None:
-                await self._arrive(wait, client, 1)
+                await self._arrive(wait, 1)
             return await future
         names = (self.router.route_batch(specs, client) if target is None
                  else [target] * n)
@@ -251,7 +225,7 @@ class Front:
                 sum(costs[i] for i in chunk) if costs is not None else 0.0,
                 client, future, None)
             if wait is not None:
-                await self._arrive(wait, client, n - sent)
+                await self._arrive(wait, n - sent)
             sent += len(chunk)
             slabs.append((future, chunk))
         if len(slabs) == 1:  # its slots are every slot, in input order

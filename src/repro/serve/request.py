@@ -2,7 +2,7 @@
 
 A :class:`SlabRequest` is what travels from the server front through a
 shard queue to the micro-batcher: the specs themselves plus the client
-identity (for fair-share accounting), the admission timestamp (for
+identity (for per-client telemetry), the admission timestamp (for
 latency telemetry) and the one future the caller is awaiting.
 """
 
@@ -13,23 +13,23 @@ from dataclasses import dataclass, field
 
 
 class ServerOverloaded(RuntimeError):
-    """The server refused admission (hard limit or fair-share breach).
+    """The server refused admission: the burst would take the admitted
+    but unfinished requests past ``max_pending``.
 
     Attributes
     ----------
     client:
         The submitting client.
     reason:
-        ``"overload"`` (global hard limit) or ``"fair_share"`` (this
-        client alone reached its share of the admission budget; the
-        rest is held in reserve for other tenants).
+        ``"overload"``, the label the refused requests are counted
+        under in telemetry.
     """
 
-    def __init__(self, message: str, client: str = "default",
-                 reason: str = "overload"):
+    reason = "overload"
+
+    def __init__(self, message: str, client: str = "default"):
         super().__init__(message)
         self.client = client
-        self.reason = reason
 
 
 class ServerClosed(RuntimeError):

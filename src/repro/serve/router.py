@@ -15,8 +15,6 @@ forms cannot drift.  The routers:
   (the multi-shard default), stable under membership changes;
 * :class:`LeastLoadedRouter` / :class:`CostAwareLeastLoadedRouter` —
   live in-flight slots or outstanding predicted FLOPs;
-* :class:`CanaryRouter` — a deterministic traffic fraction to one
-  shard during a rollout;
 * :class:`RoutineRouter` — per routine family (one shard per routine
   name: the mixed-routine deployment default);
 * :class:`TenantRouter` — per client.
@@ -154,11 +152,9 @@ class LeastLoadedRouter(ShardRouter):
     def current_loads(self) -> dict:
         return dict(self._loads() if callable(self._loads) else self._loads)
 
-    def add(self, shard: str) -> None:
-        if shard not in self.shards:
-            self.shards.append(shard)
-
     def remove(self, shard: str) -> None:
+        """Take ``shard`` out of routing: a shard missing from ``loads``
+        (a dead fleet worker) reads as load 0, the least of all."""
         if shard in self.shards:
             if len(self.shards) == 1:
                 raise ValueError("cannot remove the last shard")
@@ -195,60 +191,6 @@ class CostAwareLeastLoadedRouter(LeastLoadedRouter):
             shard = min(self.shards, key=lambda s: loads.get(s, 0))
             loads[shard] = loads.get(shard, 0) + cost
             out.append(shard)
-        return out
-
-
-class CanaryRouter(ShardRouter):
-    """Divert a deterministic key fraction of traffic to one shard.
-
-    Wraps a base router during a canary rollout: every spec whose
-    hashed shape key falls into the lowest ``fraction`` of the hash
-    space routes to ``canary``, everything else follows the base
-    router.  The split is a pure function of the shape key (blake2b,
-    not Python's salted ``hash``), so the same request always lands on
-    the same side — canary-vs-fleet comparisons see disjoint, stable
-    traffic sets rather than a random sample.
-
-    Membership changes (``add``/``remove``, when a worker dies or
-    rejoins mid-rollout) go to the base router, which keeps routing
-    after the rollout ends.
-    """
-
-    def __init__(self, base, canary: str, fraction: float = 0.25):
-        if not 0.0 <= fraction <= 1.0:
-            raise ValueError("fraction must be in [0, 1]")
-        self.base = base
-        self.canary = str(canary)
-        self.fraction = float(fraction)
-
-    def _is_canary(self, spec) -> bool:
-        digest = hashlib.blake2b(
-            b"canary:" + repr(routine_key(spec)).encode(),
-            digest_size=8).digest()
-        bucket = int.from_bytes(digest, "little") / float(2 ** 64)
-        return bucket < self.fraction
-
-    def add(self, shard: str) -> None:
-        add = getattr(self.base, "add", None)
-        if add is not None:
-            add(shard)
-
-    def remove(self, shard: str) -> None:
-        remove = getattr(self.base, "remove", None)
-        if remove is not None:
-            remove(shard)
-
-    def route_batch(self, specs, client: str = "default") -> list:
-        # The base router must see only the slots it will actually own:
-        # a stateful base (least-loaded) would otherwise account for
-        # slots the canary took.
-        rest = [i for i, spec in enumerate(specs)
-                if not self._is_canary(spec)]
-        out: list = [self.canary] * len(specs)
-        if rest:
-            names = self.base.route_batch([specs[i] for i in rest], client)
-            for i, name in zip(rest, names):
-                out[i] = name
         return out
 
 

@@ -86,8 +86,8 @@ class MicroBatcher:
     telemetry:
         Shared :class:`~repro.serve.telemetry.ServeTelemetry`.
     release:
-        ``release(client, n)``, invoked once per slab after its future
-        resolves, whatever the outcome (the server returns the slab's
+        ``release(n)``, invoked once per slab after its future resolves,
+        whatever the outcome (the server returns the slab's ``n``
         admission slots here).
     shard:
         Shard name, for telemetry attribution.
@@ -130,7 +130,7 @@ class MicroBatcher:
             if first is SHUTDOWN:
                 break
             if isinstance(first, ReloadCommand):
-                self._apply_reload(first)
+                self._swap_bundle(first)
                 continue
             batch = [first]
             # Traced runs stamp when batch formation began (the pull of
@@ -141,7 +141,7 @@ class MicroBatcher:
             await self._execute(batch, loop, t_form=t_form)
             first = batch = None  # served slabs' futures hold their records
             if pending_reload is not None:
-                self._apply_reload(pending_reload)
+                self._swap_bundle(pending_reload)
 
     async def _collect(self, queue, batch, loop):
         """Fill ``batch`` until size/cost/window/control closes it.
@@ -200,7 +200,7 @@ class MicroBatcher:
         self.telemetry.record_close(self.shard, "size")
         return False, None, None
 
-    def _apply_reload(self, command: ReloadCommand) -> None:
+    def _swap_bundle(self, command: ReloadCommand) -> None:
         """Swap the shard's bundle; resolve the command's future.
 
         The engine counts the reload (its ``bundle_generation``).
@@ -312,7 +312,7 @@ class MicroBatcher:
                         self.collector.finish(trace)
                 if not entry.future.done():
                     entry.future.set_exception(exc)
-                self.release(entry.client, entry.count)
+                self.release(entry.count)
             return
         t_done = loop.time()
         tiers = self._tiers_of(specs, records) \
@@ -333,5 +333,5 @@ class MicroBatcher:
                         zip(entry.traces, slab_records)):
                     self._stamp_trace(trace, record, tiers[offset + j],
                                       n_total, t_form, t_start, t_done)
-            self.release(entry.client, n)
+            self.release(n)
             offset += n

@@ -14,10 +14,9 @@ Admission control is two-tiered:
 
 * a bounded per-shard queue (``max_queue``) applies **backpressure** —
   ``submit`` awaits until a slot frees;
-* a global hard limit (``max_pending`` admitted-but-unfinished requests)
-  **rejects** with :class:`~repro.serve.request.ServerOverloaded`, and a
-  per-client fair-share cap (``fair_share`` × ``max_pending``) stops a
-  single greedy tenant from occupying the whole admission budget.
+* a global hard limit (``max_pending`` admitted-but-unfinished requests,
+  whichever clients hold them) **rejects** with
+  :class:`~repro.serve.request.ServerOverloaded`.
 
 Thread choices are bitwise identical to synchronous
 :meth:`GemmService.run <repro.engine.service.GemmService.run>` calls on
@@ -66,15 +65,8 @@ class GemmServer(Front):
         batch drains (backpressure, never loss).
     max_pending:
         Hard global cap on admitted-but-unfinished requests; beyond it
-        ``submit`` raises :class:`ServerOverloaded` immediately.
-        Defaults to ``2 * max_queue * n_shards``.
-    fair_share:
-        Fraction of ``max_pending`` any single client may hold at
-        once, rejected with reason ``"fair_share"`` beyond it.  The
-        cap is unconditional — the remaining budget is held in
-        *reserve* so a tenant arriving mid-flood still finds admission
-        slots, which means even a sole client is bounded by it.  Set
-        ``None`` (or ``1.0``) for single-tenant deployments.
+        ``submit`` raises :class:`ServerOverloaded` immediately.  One
+        client may fill it.  Defaults to ``2 * max_queue * n_shards``.
     tracing:
         Enable per-request span tracing: every served request's journey
         (admission → queue wait → batch formation → predict-tier
@@ -94,8 +86,7 @@ class GemmServer(Front):
                  max_batch: int = 16, max_wait_ms: float = 2.0,
                  max_batch_cost: Optional[float] = None,
                  max_queue: int = 64, max_pending: Optional[int] = None,
-                 fair_share: Optional[float] = 0.5, tracing: bool = False,
-                 trace_capacity: int = 4096,
+                 tracing: bool = False, trace_capacity: int = 4096,
                  registry: Optional[MetricsRegistry] = None):
         if hasattr(shards, "run_batch"):  # a bare GemmService
             shards = {"default": shards}
@@ -113,7 +104,6 @@ class GemmServer(Front):
             router if router is not None else default_router(self.shards),
             max_pending=(int(max_pending) if max_pending is not None
                          else 2 * self.max_queue * len(self.shards)),
-            fair_share=fair_share,
             telemetry=ServeTelemetry(registry=self.registry),
             price_bursts=max_batch_cost is not None)
         self.collector = SpanCollector(trace_capacity) if tracing else None
@@ -170,7 +160,9 @@ class GemmServer(Front):
     def _deliver(self, queue, name, specs, routines, cost, client, future,
                  trace_id):
         """Enqueue one slab; a full queue returns the put to await
-        (backpressure)."""
+        (backpressure).  The slab's requests count as submitted once it
+        is on the queue, so a caller cancelled while it waits leaves
+        none behind."""
         depth = queue.qsize()
         t_submit = future.get_loop().time()
         traces = None
@@ -180,6 +172,18 @@ class GemmServer(Front):
                 client, routine, name, depth, t_submit)
                 for routine in routines]
         slab = SlabRequest(specs, client, future, t_submit, name, traces)
+        try:
+            queue.put_nowait(slab)
+        except asyncio.QueueFull:
+            return self._enqueue(queue, slab, depth, routines)
+        self._count_admission(client, depth, routines)
+        return None
+
+    async def _enqueue(self, queue, slab, depth, routines) -> None:
+        await queue.put(slab)
+        self._count_admission(slab.client, depth, routines)
+
+    def _count_admission(self, client, depth, routines) -> None:
         first = routines[0]
         if routines.count(first) == len(routines):  # one routine, as usual
             self.telemetry.record_admission(client, depth, first,
@@ -188,11 +192,6 @@ class GemmServer(Front):
             for routine, count in Counter(routines).items():
                 self.telemetry.record_admission(client, queue_depth=depth,
                                                 routine=routine, n=count)
-        try:
-            queue.put_nowait(slab)
-        except asyncio.QueueFull:
-            return queue.put(slab)
-        return None
 
     # -- serving ---------------------------------------------------------
     async def submit(self, spec, client: str = "default",

@@ -153,8 +153,7 @@ class ModelRegistry:
         }
         ref["latest"] = version
         self._write_ref(routine, machine, ref)
-        # Registry mutations are audit events: the control-plane loops
-        # (rollout, rollback, retrain) subscribe to exactly this stream.
+        # Registry mutations are audit events.
         registry = default_registry()
         registry.event("registry_publish", routine=routine, machine=machine,
                        version=version, checksum=manifest["checksum"],

@@ -1,4 +1,4 @@
-"""Multi-process fleet: spawn, parity, hot-reload, rollout, worker death.
+"""Multi-process fleet: spawn, parity, hot-reload, worker death.
 
 Every test here spawns real worker processes, so the suite keeps the
 process count small (2-worker fleets) and folds related assertions
@@ -6,8 +6,6 @@ into shared scenarios rather than paying a spawn per claim.
 """
 
 import asyncio
-import os
-import signal
 
 import pytest
 
@@ -20,7 +18,6 @@ from repro.machine.presets import by_name
 from repro.machine.simulator import MachineSimulator
 from repro.obs.metrics import MetricsRegistry
 from repro.serve.request import ServerOverloaded
-from repro.serve.router import CanaryRouter
 from repro.train.registry import ModelRegistry
 from tests.conftest import CountingExecutor
 
@@ -137,54 +134,12 @@ class TestFleetServing:
                       if isinstance(r.spec, GemmSpec)]
         assert set(gemm_after) == {1}
 
-    def test_rollout_promotes_and_rolls_back(self, fleet_registry,
-                                             tiny_bundle):
-        bundle, _ = tiny_bundle
-        registry = ModelRegistry(fleet_registry)
-        probes = [GemmSpec(24 + 16 * i, 48, 32) for i in range(8)]
-
-        async def scenario():
-            fleet = make_fleet(fleet_registry)
-            async with fleet:
-                registry.publish(bias_bundle(bundle, target=1),
-                                 routine="gemm")
-                bad = await fleet.rollout("gemm", probes=probes,
-                                          max_divergence=0.0)
-                # Probes given as a generator must be probed just the same.
-                bad_gen = await fleet.rollout(
-                    "gemm", probes=(spec for spec in probes),
-                    max_divergence=0.0)
-                versions_bad = versions(fleet)
-                registry.publish(bundle, routine="gemm")
-                good = await fleet.rollout("gemm", probes=probes,
-                                           max_divergence=0.0)
-                versions_good = versions(fleet)
-                records = await fleet.submit_many(probes)
-            return bad, bad_gen, versions_bad, good, versions_good, records
-
-        bad, bad_gen, versions_bad, good, versions_good, records = run(
-            scenario())
-        assert bad["action"] == "rolled_back" and bad["divergence"] > 0
-        assert bad_gen["n_probes"] == len(probes)
-        assert bad_gen["action"] == "rolled_back"
-        assert bad_gen["divergence"] == bad["divergence"]
-        # Canary is back on the pre-rollout version; nobody promoted.
-        assert set(versions_bad.values()) == {1}
-        assert good["action"] == "promoted" and good["divergence"] == 0.0
-        assert set(versions_good.values()) == {3}
-        assert all(r is not None for r in records)
-
-    def test_worker_death_drains_and_respawn_rejoins(self, fleet_registry,
-                                                     tiny_bundle):
-        bundle, _ = tiny_bundle
-        registry = ModelRegistry(fleet_registry)
-
+    def test_worker_death_drains_and_survivor_serves(self, fleet_registry):
         async def scenario():
             fleet = make_fleet(fleet_registry, registry=MetricsRegistry())
             async with fleet:
                 await fleet.submit_many(mixed_specs(6))
                 victim = fleet._workers["worker-0"]
-                old_pid = victim.pid
                 # In-flight work on the victim when it dies...
                 doomed = asyncio.ensure_future(
                     fleet.submit(GemmSpec(64, 64, 64), worker="worker-0"))
@@ -197,60 +152,13 @@ class TestFleetServing:
                 with pytest.raises((WorkerFailed, KeyError)):
                     await fleet.submit(GemmSpec(32, 32, 32),
                                        worker="worker-0")
-                # Publish while the worker is down: the respawn must
-                # come back on the *current* latest, not a snapshot.
-                registry.publish(bundle, routine="gemm")
-                new_pid = await fleet.respawn("worker-0")
-                rejoined = await fleet.submit(GemmSpec(80, 48, 48),
-                                              worker="worker-0")
-                loaded = fleet.stats()["workers"]["worker-0"]["versions"]
                 events = fleet.telemetry.registry.events(
                     "fleet_worker_death")
-            return old_pid, new_pid, survivors, rejoined, loaded, events
+            return survivors, events
 
-        old_pid, new_pid, survivors, rejoined, loaded, events = run(
-            scenario())
-        assert new_pid != old_pid
+        survivors, events = run(scenario())
         assert all(r is not None for r in survivors)
-        assert rejoined is not None
-        assert loaded == {"gemm": 2, "gemv": 1}
         assert len(events) == 1 and events[0]["worker"] == "worker-0"
-
-
-    def test_worker_death_during_rollout_leaves_routing(self,
-                                                        fleet_registry,
-                                                        tiny_bundle):
-        """A worker that dies mid-rollout leaves the router the rollout
-        restores, so later bursts go to the survivor."""
-        bundle, _ = tiny_bundle
-        registry = ModelRegistry(fleet_registry)
-        probes = [GemmSpec(24 + 16 * i, 48, 32) for i in range(8)]
-
-        async def scenario():
-            fleet = make_fleet(fleet_registry, registry=MetricsRegistry())
-            async with fleet:
-                registry.publish(bundle, routine="gemm")
-                rollout = asyncio.ensure_future(
-                    fleet.rollout("gemm", probes=probes))
-                loop = asyncio.get_running_loop()
-                deadline = loop.time() + 30.0
-                while not isinstance(fleet.router, CanaryRouter):
-                    assert loop.time() < deadline, "rollout never split"
-                    await asyncio.sleep(0)
-                # The canary split is live: kill the reference worker.
-                os.kill(fleet.stats()["workers"]["worker-1"]["pid"],
-                        signal.SIGKILL)
-                with pytest.raises(WorkerFailed):
-                    await rollout
-                records = [await fleet.submit_many(mixed_specs(9))
-                           for _ in range(3)]
-                stats = fleet.stats()
-            return records, stats
-
-        records, stats = run(scenario())
-        assert all(r is not None for burst in records for r in burst)
-        assert not stats["workers"]["worker-1"]["alive"]
-        assert stats["workers"]["worker-0"]["counters"]["completed"] >= 27
 
     def test_cancelled_burst_releases_every_slot(self, fleet_registry):
         """Cancelling a burst mid-flight leaks no admission slot, in-flight

@@ -82,8 +82,7 @@ class TestMixedTrafficServer:
     def test_rejections_tagged_with_routine(self, tiny_sim):
         shards = _shards(tiny_sim)
         server = GemmServer(shards, router=RoutineRouter(), max_batch=2,
-                            max_wait_ms=1.0, max_queue=1, max_pending=1,
-                            fair_share=None)
+                            max_wait_ms=1.0, max_queue=1, max_pending=1)
 
         async def run():
             async with server:

@@ -71,7 +71,6 @@ class TestTracingDisabled:
         assert server.collector is None
         stats = server.stats()
         assert "trace" not in stats
-        assert "monitors" not in stats
         assert stats["served"] == 8
 
     def test_trace_id_ignored_when_untraced(self, make_service):

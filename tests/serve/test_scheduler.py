@@ -29,8 +29,6 @@ class TestBatchPolicy:
             GemmServer(make_service(), max_queue=0)
         with pytest.raises(ValueError):
             GemmServer(make_service(), max_pending=0)
-        with pytest.raises(ValueError):
-            GemmServer(make_service(), fair_share=1.5)
 
 
 class TestWindowFlush:
@@ -135,7 +133,7 @@ class TestAdmissionControl:
     def test_hard_limit_rejects_with_overloaded(self, make_service,
                                                 distinct_specs):
         server = GemmServer(make_service(), max_batch=4, max_wait_ms=5.0,
-                            max_queue=2, max_pending=4, fair_share=None)
+                            max_queue=2, max_pending=4)
 
         async def run():
             async with server:
@@ -166,32 +164,25 @@ class TestAdmissionControl:
         assert len(records) == len(distinct_specs)
         assert server.telemetry.rejected == {}
 
-    def test_fair_share_protects_other_tenants(self, make_service,
-                                               distinct_specs):
-        # Cap: each client may hold 2 of the 8 admission slots.
-        server = GemmServer(make_service(), max_batch=4, max_wait_ms=5.0,
-                            max_queue=8, max_pending=8, fair_share=0.25)
+    def test_one_client_may_fill_max_pending(self, make_service):
+        """``max_pending`` is the one admission rule: a sole client may
+        hold every slot, and a burst one slot larger is refused whole."""
+        specs = [GemmSpec(16 + i, 32, 24) for i in range(129)]
+        server = GemmServer(make_service())
 
         async def run():
             async with server:
-                greedy = asyncio.gather(
-                    *(server.submit(s, client="greedy")
-                      for s in distinct_specs), return_exceptions=True)
-                polite = asyncio.gather(
-                    *(server.submit(s, client="polite")
-                      for s in distinct_specs[:2]), return_exceptions=True)
-                return await greedy, await polite
+                assert server.max_pending == 128
+                records = await server.submit_many(specs[:128])
+                with pytest.raises(ServerOverloaded) as err:
+                    await server.submit_many(specs)
+                return records, err.value, server.pending
 
-        greedy, polite = asyncio.run(run())
-        greedy_rejected = [r for r in greedy
-                           if isinstance(r, ServerOverloaded)]
-        assert greedy_rejected
-        assert all(r.reason == "fair_share" for r in greedy_rejected)
-        # The polite tenant was never crowded out.
-        assert all(not isinstance(r, Exception) for r in polite)
-        clients = server.telemetry.stats()["clients"]
-        assert clients["polite"]["rejected"] == 0
-        assert clients["greedy"]["rejected"] == len(greedy_rejected)
+        records, error, pending = asyncio.run(run())
+        assert [r.spec for r in records] == specs[:128]
+        assert error.reason == "overload"
+        assert pending == 0
+        assert server.telemetry.rejected == {"overload": 129}
 
     def test_pending_accounting_returns_to_zero(self, make_service,
                                                 distinct_specs):
@@ -419,8 +410,8 @@ class TestExecutionHop:
         async def scenario():
             executor = CountingExecutor()
             asyncio.get_running_loop().set_default_executor(executor)
-            async with GemmServer(service, max_wait_ms=1.0, max_pending=1024,
-                                  fair_share=None) as server:
+            async with GemmServer(service, max_wait_ms=1.0,
+                                  max_pending=1024) as server:
                 burst, *rest = await asyncio.gather(
                     server.submit_many(specs),
                     *(server.submit(s) for s in singles))

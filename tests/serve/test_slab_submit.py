@@ -64,7 +64,7 @@ class TestSlabParity:
 
         async def run():
             async with GemmServer(make_service(), max_batch=4,
-                                  max_wait_ms=1.0, fair_share=None) as server:
+                                  max_wait_ms=1.0) as server:
                 await server.submit_many(specs, client="bulk")
                 return server
 
@@ -93,8 +93,7 @@ class TestFutureEconomy:
         async def run():
             async with GemmServer(make_service(), max_batch=16,
                                   max_wait_ms=1.0, max_queue=64,
-                                  max_pending=1024,
-                                  fair_share=None) as server:
+                                  max_pending=1024) as server:
                 return await server.submit_many(specs)
 
         records = asyncio.run(run())
@@ -117,8 +116,7 @@ class TestFutureEconomy:
 
         async def run():
             async with GemmServer(make_service(), max_batch=8,
-                                  max_wait_ms=1.0,
-                                  fair_share=None) as server:
+                                  max_wait_ms=1.0) as server:
                 await server.submit_many(burst(21))
 
         asyncio.run(run())
@@ -144,7 +142,7 @@ class TestSlabFailureModes:
     def test_burst_admission_is_all_or_nothing(self, make_service,
                                                distinct_specs):
         server = GemmServer(make_service(), max_batch=4, max_wait_ms=1.0,
-                            max_queue=4, max_pending=8, fair_share=None)
+                            max_queue=4, max_pending=8)
 
         async def run():
             async with server:
@@ -176,11 +174,11 @@ class TestSlabFailureModes:
                                                  max_queue):
         """Cancel a burst two loop steps in: with a tiny queue some slabs
         are still waiting to be enqueued, with a roomy one every slab
-        reached its shard.  Either way each slot is released once."""
+        reached its shard.  Either way each slot is released once, and
+        only the slabs that reached the queue count as submitted."""
         specs = burst(256)
         server = GemmServer(make_service(), max_batch=16, max_wait_ms=1.0,
-                            max_queue=max_queue, max_pending=len(specs),
-                            fair_share=None)
+                            max_queue=max_queue, max_pending=len(specs))
 
         async def run():
             async with server:
@@ -194,12 +192,13 @@ class TestSlabFailureModes:
                 deadline = loop.time() + 10.0
                 while server.pending and loop.time() < deadline:
                     await asyncio.sleep(0.01)
-                pending = server.pending
+                pending, stats = server.pending, server.stats()
                 # A leaked slot would get this full-size burst rejected.
-                return pending, await server.submit_many(specs)
+                return pending, stats, await server.submit_many(specs)
 
-        pending, records = asyncio.run(run())
+        pending, stats, records = asyncio.run(run())
         assert pending == 0
+        assert stats["submitted"] == stats["served"] + stats["failed"]
         assert [r.spec for r in records] == specs
         assert server.pending == 0
 
@@ -240,8 +239,8 @@ class TestSlabTracing:
     def test_traced_slabs_stamp_every_slot(self, make_service):
         async def run():
             async with GemmServer(make_service(), max_batch=4,
-                                  max_wait_ms=1.0, tracing=True,
-                                  fair_share=None) as server:
+                                  max_wait_ms=1.0,
+                                  tracing=True) as server:
                 await server.submit_many(burst(10), client="traced")
                 return server
 
