@@ -412,18 +412,16 @@ class FleetServer(Front):
 
     # -- serving ----------------------------------------------------------
     async def submit(self, spec, client: str = "default",
-                     trace_id: str = None, worker: str = None):
+                     trace_id: str = None):
         """Serve one request; returns its ``GemmCallRecord``.
 
-        ``worker`` pins the request to a named worker; otherwise the
-        router decides.  ``trace_id`` is accepted for
-        :func:`~repro.serve.trace.replay_trace` compatibility (the
-        worker's own server assigns trace ids when tracing is on).
+        ``trace_id`` is accepted for :func:`~repro.serve.trace.replay_trace`
+        compatibility (the worker's own server assigns trace ids when
+        tracing is on).
         """
-        return (await self._serve([spec], client, worker))[0]
+        return (await self._serve([spec], client))[0]
 
-    async def submit_many(self, specs, client: str = "default",
-                          worker: str = None) -> list:
+    async def submit_many(self, specs, client: str = "default") -> list:
         """Serve a burst; returns records aligned with ``specs``.
 
         Routing is one ``route_batch`` call over the alive workers;
@@ -432,7 +430,7 @@ class FleetServer(Front):
         frames.  If any slab fails (worker death, worker-side error)
         the first failure is raised after every slab has settled.
         """
-        return await self._serve(list(specs), client, worker)
+        return await self._serve(list(specs), client)
 
     # -- stats ------------------------------------------------------------
     async def worker_stats(self) -> dict:

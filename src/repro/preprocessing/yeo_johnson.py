@@ -11,13 +11,16 @@ extends Box-Cox to non-positive values::
 The per-feature lambda is chosen by maximising the Gaussian profile
 log-likelihood, exactly as the paper automates it "for each feature from
 the original data distribution through maximum likelihood estimation".
-The 1-D optimisation uses scipy's bounded Brent search.
+The 1-D optimisation uses scipy's bounded Brent search. scipy is
+imported on the first fit, inside :func:`yeo_johnson_mle_lambda`, not at
+module scope: serving only applies fitted lambdas, and scipy's import
+would otherwise dominate the start-up time and memory of every process
+that imports :mod:`repro` to serve.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import optimize
 
 from repro.ml.base import BaseEstimator, check_array
 
@@ -71,6 +74,8 @@ def yeo_johnson_mle_lambda(x: np.ndarray, bounds=(-3.0, 5.0)) -> float:
     x = np.asarray(x, dtype=np.float64).ravel()
     if x.size < 2 or np.all(x == x[0]):
         return 1.0  # identity for degenerate features
+    from scipy import optimize
+
     result = optimize.minimize_scalar(
         lambda lam: -_log_likelihood(x, lam), bounds=bounds, method="bounded")
     return float(result.x)

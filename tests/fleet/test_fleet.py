@@ -80,7 +80,7 @@ class TestFleetServing:
                 # request only; the worker's socket keeps working (the
                 # stats round trip below).
                 with pytest.raises(AttributeError, match="pickle"):
-                    await fleet.submit(Local(), worker="worker-0")
+                    await fleet._serve([Local()], "default", "worker-0")
                 assert fleet.stats()["pending"] == 0
                 ws = await fleet.worker_stats()
             return records, ws, fleet.stats(), rejected
@@ -142,7 +142,8 @@ class TestFleetServing:
                 victim = fleet._workers["worker-0"]
                 # In-flight work on the victim when it dies...
                 doomed = asyncio.ensure_future(
-                    fleet.submit(GemmSpec(64, 64, 64), worker="worker-0"))
+                    fleet._serve([GemmSpec(64, 64, 64)], "default",
+                                 "worker-0"))
                 await asyncio.sleep(0)
                 victim.process.kill()
                 with pytest.raises(WorkerFailed):
@@ -150,8 +151,8 @@ class TestFleetServing:
                 # ...while the survivor keeps serving the fleet.
                 survivors = await fleet.submit_many(mixed_specs(9))
                 with pytest.raises((WorkerFailed, KeyError)):
-                    await fleet.submit(GemmSpec(32, 32, 32),
-                                       worker="worker-0")
+                    await fleet._serve([GemmSpec(32, 32, 32)], "default",
+                                       "worker-0")
                 events = fleet.telemetry.registry.events(
                     "fleet_worker_death")
             return survivors, events
@@ -259,8 +260,8 @@ class TestFleetServing:
                 victim.join(10.0)  # blocks the loop: no EOF read yet
                 assert not victim.is_alive()
                 with pytest.raises(WorkerFailed):
-                    await fleet.submit(GemmSpec(64, 64, 64),
-                                       worker="worker-0")
+                    await fleet._serve([GemmSpec(64, 64, 64)], "default",
+                                       "worker-0")
                 stats = fleet.stats()
                 survivors = await fleet.submit_many(mixed_specs(9))
             return stats, survivors
