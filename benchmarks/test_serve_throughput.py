@@ -178,11 +178,6 @@ class _InstantBackend:
     prediction tier.
     """
 
-    def __init__(self, thread_grid):
-        self.name = "instant"
-        self.thread_grid = np.asarray(sorted(set(int(t) for t in thread_grid)),
-                                      dtype=np.int64)
-
     def timed_run(self, spec, n_threads: int, repeats: int = 1, **kw) -> float:
         return 0.0
 
@@ -233,7 +228,7 @@ def test_table_throughput_vs_compiled_plan(table_bundle, save_result,
     pool = _lattice_pool(table, N_TABLE_POOL)
     trace = poisson_trace(pool, rate_hz=TABLE_RATE_HZ,
                           n_requests=len(pool), n_clients=4, seed=0)
-    backend = _InstantBackend(table_bundle.config.thread_grid)
+    backend = _InstantBackend()
 
     def replay(with_table: bool):
         predictor = table_bundle.predictor(cache_size=2 * len(pool),
@@ -338,7 +333,7 @@ def test_plateau_throughput_on_off_lattice_trace(table_bundle, plateau_bundle,
     pool += _lattice_pool(table, N_TABLE_POOL - len(pool), seed=5)
     trace = poisson_trace(pool, rate_hz=TABLE_RATE_HZ,
                           n_requests=len(pool), n_clients=4, seed=0)
-    backend = _InstantBackend(table_bundle.config.thread_grid)
+    backend = _InstantBackend()
 
     def replay(bundle):
         predictor = bundle.predictor(cache_size=2 * len(pool),
@@ -418,7 +413,7 @@ def test_slab_submit_future_economy(table_bundle, save_result,
 
     burst = _lattice_pool(table_bundle.table, 256, seed=9)
     assert len(burst) == 256
-    backend = _InstantBackend(table_bundle.config.thread_grid)
+    backend = _InstantBackend()
 
     def make_server():
         predictor = table_bundle.predictor(cache_size=2 * len(burst),
@@ -492,7 +487,7 @@ def test_tracing_overhead(table_bundle, save_result, save_bench_json):
     pool = _lattice_pool(table, N_TABLE_POOL)
     trace = poisson_trace(pool, rate_hz=TABLE_RATE_HZ,
                           n_requests=len(pool), n_clients=4, seed=0)
-    backend = _InstantBackend(table_bundle.config.thread_grid)
+    backend = _InstantBackend()
 
     def replay(tracing: bool, with_table: bool = True):
         predictor = table_bundle.predictor(cache_size=2 * len(pool),
@@ -721,12 +716,7 @@ class _CostProportionalBackend:
 
     blocking = True
 
-    def __init__(self, thread_grid, seconds_per_flop: float):
-        import numpy as _np
-
-        self.name = "cost_proportional"
-        self.thread_grid = _np.asarray(
-            sorted(set(int(t) for t in thread_grid)), dtype=np.int64)
+    def __init__(self, seconds_per_flop: float):
         self.seconds_per_flop = float(seconds_per_flop)
 
     def timed_run(self, spec, n_threads: int, repeats: int = 1, **kw) -> float:
@@ -775,8 +765,7 @@ def test_cost_aware_batching(fleet_registry, save_result, save_bench_json):
         service = GemmService.from_registry(
             registry, MachineSimulator(by_name("tiny"), seed=0),
             machine_name="tiny",
-            backend=_CostProportionalBackend((1, 2, 4, 8, 12, 16),
-                                             SECONDS_PER_FLOP))
+            backend=_CostProportionalBackend(SECONDS_PER_FLOP))
         server = GemmServer(service, max_batch=64,
                             max_wait_ms=COST_WINDOW_MS, max_queue=1024,
                             max_pending=2048, max_batch_cost=max_batch_cost)

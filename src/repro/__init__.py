@@ -33,9 +33,9 @@ Subpackages
     The ADSALA workflow itself: feature engineering, data gathering,
     installation-time training/model selection, the runtime library.
 ``repro.engine``
-    The multi-backend execution engine: the ``ExecutionBackend``
-    protocol and its adapters, the LRU ``PredictionCache``, and the
-    batch-predicting ``GemmService`` request layer.
+    The execution engine: the ``ExecutionBackend`` protocol, the LRU
+    ``PredictionCache``, and the batch-predicting ``GemmService``
+    request layer.
 ``repro.compile``
     Compiled inference plans: fitted pipeline + model lowered into
     fused array kernels (fused preprocessing transform, packed tree

@@ -34,11 +34,11 @@ import numpy as np
 class CpuBoundBackend:
     """Execution backend burning a deterministic pure-Python spin.
 
+    It serves any thread count the predictor picks: the candidate grid
+    belongs to the served bundle.
+
     Parameters
     ----------
-    thread_grid:
-        Candidate grid exposed to :func:`~repro.engine.backend.as_backend`
-        (serving normally clamps it to the bundle's own grid anyway).
     iters:
         Spin iterations per call — pure Python, so the GIL is held for
         the whole spin.  Calibrate against the request volume: ~20k
@@ -57,18 +57,11 @@ class CpuBoundBackend:
         Python and runs on the loop.
     """
 
-    def __init__(self, thread_grid=(1, 2, 4, 8, 12, 16),
-                 iters: int = 20000, sleep_s: float = 0.0,
-                 name: str = "cpu_bound"):
-        self.thread_grid = np.asarray(
-            sorted(set(int(t) for t in thread_grid)), dtype=np.int64)
-        if self.thread_grid.size == 0 or (self.thread_grid < 1).any():
-            raise ValueError("thread_grid must be non-empty positive ints")
+    def __init__(self, iters: int = 20000, sleep_s: float = 0.0):
         self.iters = int(iters)
         self.sleep_s = float(sleep_s)
         if self.sleep_s < 0:
             raise ValueError("sleep_s must be >= 0")
-        self.name = str(name)
         self.n_calls = 0
 
     @property
@@ -93,16 +86,14 @@ class CpuBoundBackend:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"CpuBoundBackend(iters={self.iters}, "
-                f"sleep_s={self.sleep_s}, "
-                f"grid={self.thread_grid.tolist()})")
+                f"sleep_s={self.sleep_s})")
 
 
-def cpu_bound_backend(iters: int = 20000, sleep_s: float = 0.0,
-                      thread_grid=(1, 2, 4, 8, 12, 16)) -> CpuBoundBackend:
+def cpu_bound_backend(iters: int = 20000,
+                      sleep_s: float = 0.0) -> CpuBoundBackend:
     """Factory for :class:`CpuBoundBackend` (fleet ``WorkerSpec.backend``
     target: ``"repro.bench.loadgen:cpu_bound_backend"``)."""
-    return CpuBoundBackend(thread_grid=thread_grid, iters=iters,
-                           sleep_s=sleep_s)
+    return CpuBoundBackend(iters=iters, sleep_s=sleep_s)
 
 
 class ThreadBiasModel:

@@ -95,17 +95,6 @@ class RoutineSimulator:
     def optimal_threads(self, spec, thread_grid) -> int:
         return min(thread_grid, key=lambda p: self.true_time(spec, p))
 
-    def backend(self, thread_grid=None):
-        """This oracle as an engine :class:`ExecutionBackend`.
-
-        Register the result on a :class:`~repro.engine.service.GemmService`
-        dispatcher per routine spec type so GEMV/SYRK/TRSM calls serve
-        through the same engine as GEMM.
-        """
-        from repro.engine.backend import RoutineBackend
-
-        return RoutineBackend(self, thread_grid)
-
 
 class _RoutineGatherer:
     """Times routine specs over the thread grid into a TimingDataset.

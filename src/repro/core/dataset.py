@@ -106,10 +106,6 @@ class TimingDataset:
     def memory_mb(self) -> np.ndarray:
         return self.memory_bytes / (1024.0 * 1024.0)
 
-    def shape_keys(self) -> np.ndarray:
-        """Structured (m, k, n) key array for group-by operations."""
-        return np.rec.fromarrays([self.m, self.k, self.n], names="m,k,n")
-
     # -- filters ---------------------------------------------------------
     def select(self, mask) -> "TimingDataset":
         mask = np.asarray(mask, dtype=bool)

@@ -18,8 +18,8 @@ Both are facades over :class:`repro.engine.service.GemmService`:
 prediction goes through the engine's
 :class:`~repro.engine.cache.PredictionCache` (a real LRU rather than
 the paper's single-shape memo, keyed ``(routine, m, k, n)``), execution
-goes through an :class:`~repro.engine.backend.ExecutionBackend` per
-routine, and batch callers reach the vectorised prediction path via
+goes through the service's :class:`~repro.engine.backend.ExecutionBackend`,
+and batch callers reach the vectorised prediction path via
 :meth:`run_batch`.  Repeated calls with the same dimensions reuse
 cached predictions, and the instance is a context manager so "the class
 instance holding the ML model can be safely destroyed to free the
@@ -29,7 +29,6 @@ memory space".
 from __future__ import annotations
 
 from repro.core.serialize import load_bundle
-from repro.engine.backend import as_backend
 from repro.engine.service import GemmCallRecord, GemmService
 from repro.gemm.interface import GemmSpec
 from repro.machine.simulator import MachineSimulator
@@ -53,10 +52,10 @@ class AdsalaRuntime:
         :class:`~repro.blas.adapter.RoutineSimulator` oracle
         automatically); any object with a compatible
         ``timed_run(spec, n_threads, repeats)`` also works (e.g.
-        :class:`repro.engine.backend.ParallelExecutionBackend` for real
-        GEMM execution), and a full
-        :class:`~repro.engine.backend.BackendDispatcher` can be reached
-        through :attr:`service`.
+        :class:`~repro.machine.host.HostMachine` for real GEMM
+        execution).  The installed thread grid is clamped to the
+        machine's ``max_threads()`` when it has one, exactly as
+        :meth:`GemmService.from_bundle` does.
     repeats:
         Timing-loop repetitions per dispatched call.
     cache_size:
@@ -69,16 +68,8 @@ class AdsalaRuntime:
         self.bundle = bundle
         self.machine = machine
         self.repeats = repeats
-        routine = bundle.config.routine
-        grid = bundle.config.thread_grid
-        self.service = GemmService(
-            bundle.predictor(cache_size=cache_size, compiled=True),
-            backend=as_backend(machine, thread_grid=grid),
-            repeats=repeats)
-        # On a simulator, a non-GEMM bundle's routine executes through
-        # the RoutineSimulator oracle; other traffic keeps the native
-        # backend.
-        self.service._wire_routine_backend(routine, grid)
+        self.service = GemmService.from_bundle(
+            bundle, machine, repeats=repeats, cache_size=cache_size)
         self._cache_size = cache_size
         self._closed = False
 
@@ -96,9 +87,8 @@ class AdsalaRuntime:
         """A mixed-routine runtime straight from a model registry.
 
         Every requested routine (default: all published for the
-        machine) gets its own predictor and execution adapter inside
-        one service; the returned runtime answers any registered
-        routine's specs.
+        machine) gets its own predictor inside one service; the
+        returned runtime answers any registered routine's specs.
         """
         runtime = cls.__new__(cls)
         runtime.machine = machine
@@ -112,19 +102,15 @@ class AdsalaRuntime:
         return runtime
 
     # ------------------------------------------------------------------
-    def register_routine(self, bundle, routine: str = None,
-                         backend=None) -> "AdsalaRuntime":
+    def register_routine(self, bundle, routine: str = None) -> "AdsalaRuntime":
         """Serve another routine's traffic with its own trained bundle.
 
-        ``routine`` defaults to the bundle's ``config.routine`` tag;
-        ``backend`` defaults to the routine oracle over this runtime's
-        machine (simulators) or the runtime's default backend.
+        ``routine`` defaults to the bundle's ``config.routine`` tag.
         Returns self for chaining.
         """
         self._ensure_open()
         routine = routine or bundle.config.routine
         self.service.register_routine(routine, bundle=bundle,
-                                      backend=backend,
                                       cache_size=self._cache_size)
         return self
 

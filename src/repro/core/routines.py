@@ -164,10 +164,6 @@ class RoutineRegistry:
     def __contains__(self, name: str) -> bool:
         return name in self._routines
 
-    def info_for(self, spec) -> RoutineInfo:
-        """The entry serving ``spec`` (via its ``routine`` attribute)."""
-        return self.get(routine_of(spec))
-
 
 #: The process-wide registry every layer consults.
 REGISTRY = RoutineRegistry()

@@ -6,8 +6,8 @@ groups them by shape, answers cached shapes from the
 :class:`~repro.engine.cache.PredictionCache`, pushes all remaining
 shapes through the predictor in **one** vectorised pipeline/model pass
 (:meth:`~repro.core.predictor.ThreadPredictor.predict_threads_batch`),
-dispatches each call to its :class:`~repro.engine.backend.ExecutionBackend`,
-and returns per-call :class:`GemmCallRecord` bookkeeping.
+calls its :class:`~repro.engine.backend.ExecutionBackend` for each
+call, and returns per-call :class:`GemmCallRecord` bookkeeping.
 
 Since the routine-generic refactor the service is multi-routine: it
 holds one :class:`~repro.core.predictor.ThreadPredictor` **per
@@ -34,7 +34,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.core.routines import routine_of
-from repro.engine.backend import BackendDispatcher, ExecutionBackend, as_backend
+from repro.engine.backend import as_backend
 from repro.engine.cache import shape_key as _shape_key
 from repro.obs.metrics import default_registry, next_instance_id
 
@@ -73,8 +73,7 @@ def _table_row(counts: dict) -> dict:
 
 
 class GemmService:
-    """Multi-backend, multi-routine execution engine with vectorised
-    thread prediction.
+    """Multi-routine execution engine with vectorised thread prediction.
 
     Parameters
     ----------
@@ -85,27 +84,26 @@ class GemmService:
         prediction cache.  Further routines join via
         :meth:`register_routine`.
     backend:
-        Default :class:`ExecutionBackend` (anything with ``timed_run``
-        is coerced via :func:`as_backend`).  Mutually exclusive with
-        ``dispatcher``.
-    dispatcher:
-        A pre-built :class:`BackendDispatcher` for mixed routine
-        streams (GEMM + GEMV/SYRK/TRSM).
+        The :class:`~repro.engine.backend.ExecutionBackend`: anything
+        with ``timed_run`` (checked by
+        :func:`~repro.engine.backend.as_backend`).  GEMM calls run on it
+        directly, and so does every call when it is not a machine
+        simulator; on a simulator (it has a ``cost_model``), the calls
+        of any other routine run on a
+        :class:`~repro.blas.adapter.RoutineSimulator` over it.
     repeats:
-        Timing-loop repetitions per dispatched call.
+        Timing-loop repetitions per call.
     """
 
-    def __init__(self, predictor, backend=None, dispatcher: BackendDispatcher = None,
-                 repeats: int = 1):
-        if dispatcher is None:
-            if backend is None:
-                raise ValueError("provide a backend or a dispatcher")
-            dispatcher = BackendDispatcher.for_backend(as_backend(backend))
-        elif backend is not None:
-            raise ValueError("backend and dispatcher are mutually exclusive")
+    def __init__(self, predictor, backend, repeats: int = 1):
         self.routine = getattr(predictor, "routine", "gemm")
         self._predictors = {self.routine: predictor}
-        self.dispatcher = dispatcher
+        self.backend = as_backend(backend)
+        #: Whether ``timed_run`` waits with the GIL released (see
+        #: :class:`~repro.engine.backend.ExecutionBackend`); a serving
+        #: scheduler runs this service's batches off its event loop then.
+        self.blocking = bool(getattr(backend, "blocking", False))
+        self._executors: dict = {}  # routine -> what runs its calls
         self.repeats = repeats
         self._requests: Dict[str, int] = {}  # spec routine -> served calls
         self.n_memoised: int = 0    # served calls with a cached prediction
@@ -138,13 +136,11 @@ class GemmService:
         lowered from the bundle's pipeline and model here, and thread
         choices are bitwise identical to the object path.  The bundle's
         ``config.routine`` tag makes the service's default routine,
-        so a GEMV installation serves GEMV traffic directly: on a
-        machine simulator, the routine's execution is routed through
-        the :class:`~repro.blas.adapter.RoutineSimulator` oracle
-        (work-fraction / roofline corrections applied), while GEMM
-        traffic keeps the native backend.
+        so a GEMV installation serves GEMV traffic directly (on a
+        machine simulator, through the
+        :class:`~repro.blas.adapter.RoutineSimulator` oracle).
 
-        ``backend`` substitutes the default execution backend while the
+        ``backend`` substitutes the execution backend while the
         *prediction* artefacts (grid clamping included) still derive
         from ``machine`` — the fleet benchmark serves registry bundles
         against a synthetic CPU-bound backend this way.
@@ -152,12 +148,10 @@ class GemmService:
         max_threads = getattr(machine, "max_threads", None)
         machine_max = max_threads() if callable(max_threads) else None
         grid = cls._clamped_grid(bundle, machine_max)
-        execution = as_backend(machine if backend is None else backend,
-                               thread_grid=grid)
         service = cls(bundle.predictor(cache_size=cache_size,
                                        thread_grid=grid, compiled=True),
-                      backend=execution, repeats=repeats)
-        service._wire_routine_backend(service.routine, grid)
+                      machine if backend is None else backend,
+                      repeats=repeats)
         service._machine_max = machine_max
         meta = cls._bundle_meta(bundle)
         service.routine_info[service.routine] = meta
@@ -174,15 +168,11 @@ class GemmService:
         Loads the ``(routine, machine_name)`` bundle for every requested
         routine (default: every routine with a published version for
         that machine), installs the first one as the service's default
-        and registers the rest — each with its own predictor and, for
-        non-GEMM routines, a
-        :class:`~repro.engine.backend.RoutineBackend` over a shared
-        :class:`~repro.blas.adapter.RoutineSimulator` on ``machine``.
-        ``machine`` must therefore be a machine *simulator* when any
-        non-GEMM routine is requested — unless ``backend`` overrides
-        execution entirely, in which case every routine (GEMM
-        included) dispatches to the override and no simulator wiring
-        happens.
+        and registers the rest, each with its own predictor.  On a
+        machine *simulator*, non-GEMM routines run on the
+        :class:`~repro.blas.adapter.RoutineSimulator` oracle over it;
+        ``backend`` overrides execution for every routine, GEMM
+        included.
         """
         from repro.train.registry import ModelRegistry
 
@@ -224,38 +214,14 @@ class GemmService:
                 "machine": bundle.config.machine,
                 "dtype": bundle.config.dtype}
 
-    def _wire_routine_backend(self, routine: str, thread_grid) -> None:
-        """Default execution wiring for a non-GEMM routine.
-
-        When the default backend wraps a machine *simulator* and the
-        routine has no route yet, its calls go through the
-        :class:`~repro.blas.adapter.RoutineSimulator` oracle
-        (work-fraction / roofline corrections applied).  Callers can
-        always register an explicit backend instead; non-simulator
-        machines are left to the default backend's own duck typing.
-        """
-        if routine == "gemm" or self.dispatcher.has_routine_route(routine):
-            return
-        machine = getattr(self.dispatcher.default, "machine", None)
-        if machine is None or not hasattr(machine, "cost_model"):
-            return
-        from repro.blas.adapter import RoutineSimulator
-
-        self.dispatcher.register_routine(
-            routine, RoutineSimulator(machine).backend(thread_grid))
-
     def register_routine(self, routine: str, bundle=None, predictor=None,
-                         backend=None, cache_size: int = 256) -> "GemmService":
-        """Serve ``routine`` specs with their own predictor (and backend).
+                         cache_size: int = 256) -> "GemmService":
+        """Serve ``routine`` specs with their own predictor.
 
         Pass either a trained ``bundle`` (a predictor is built from it,
         compiled path, grid clamped to the machine exactly like
-        :meth:`from_bundle`) or a ready ``predictor``.  ``backend``
-        routes the routine's *execution* as well — equivalent to
-        :meth:`register_backend` with the routine's spec type; when
-        omitted, a non-GEMM routine on a simulator default backend is
-        wired through the routine oracle automatically
-        (:meth:`_wire_routine_backend`).  Returns self for chaining.
+        :meth:`from_bundle`) or a ready ``predictor``.  Returns self for
+        chaining.
         """
         self._ensure_open()
         if (bundle is None) == (predictor is None):
@@ -266,10 +232,6 @@ class GemmService:
                                          thread_grid=grid, compiled=True)
             self.routine_info[routine] = self._bundle_meta(bundle)
         self._predictors[routine] = predictor
-        if backend is not None:
-            self.dispatcher.register_routine(routine, as_backend(backend))
-        else:
-            self._wire_routine_backend(routine, predictor.thread_grid)
         return self
 
     @property
@@ -330,11 +292,6 @@ class GemmService:
                                                dict.fromkeys(_COUNTERS, 0))
             for key, attr in _COUNTERS.items():
                 retired[key] += getattr(old, attr)
-        else:
-            # reload() can install a routine the service never served;
-            # give it the same default execution wiring registration
-            # would have.
-            self._wire_routine_backend(routine, grid)
         self.bundle_generation += 1
         meta = self._bundle_meta(bundle)
         self.routine_info[routine] = meta
@@ -356,11 +313,6 @@ class GemmService:
         self._ensure_open()
         return self.predictor.thread_grid
 
-    def register_backend(self, spec_type: type, backend) -> "GemmService":
-        """Route ``spec_type`` calls to another backend; returns self."""
-        self.dispatcher.register(spec_type, as_backend(backend))
-        return self
-
     def predict(self, spec) -> int:
         """Thread choice for one spec (cache-backed, no execution)."""
         self._ensure_open()
@@ -378,25 +330,40 @@ class GemmService:
         return choices
 
     def _group_by_predictor(self, specs) -> tuple:
-        """``(groups, requests)`` against a point-in-time snapshot of the
+        """``(groups, routines)`` against a point-in-time snapshot of the
         predictor map: ``id(predictor) -> (predictor, [input indices])``
-        in first-seen order, and routine name -> number of specs."""
+        in first-seen order, and each spec's routine name."""
         predictors = dict(self._predictors)
         default = predictors[self.routine]
         groups: dict = {}
-        requests: dict = {}
+        routines = []
         for i, spec in enumerate(specs):
             routine = routine_of(spec, self.routine)
-            requests[routine] = requests.get(routine, 0) + 1
+            routines.append(routine)
             predictor = predictors.get(routine)
             if predictor is None:
                 predictor = default
             groups.setdefault(id(predictor), (predictor, []))[1].append(i)
-        return groups, requests
+        return groups, routines
 
     # -- execution -------------------------------------------------------
+    def _executor(self, routine: str):
+        """What runs ``routine``'s calls, resolved once per routine: the
+        backend, or for a non-GEMM routine on a machine simulator the
+        :class:`~repro.blas.adapter.RoutineSimulator` oracle over it
+        (work-fraction / roofline corrections applied)."""
+        executor = self._executors.get(routine)
+        if executor is None:
+            executor = self.backend
+            if routine != "gemm" and hasattr(executor, "cost_model"):
+                from repro.blas.adapter import RoutineSimulator
+
+                executor = RoutineSimulator(executor)
+            self._executors[routine] = executor
+        return executor
+
     def run(self, spec) -> GemmCallRecord:
-        """Predict, dispatch and record one call."""
+        """Predict, execute and record one call."""
         self._ensure_open()
         # predictor_for(spec), keeping the routine for the count.  A
         # snapshot: a concurrent reload() swaps the predictor map entry,
@@ -408,10 +375,11 @@ class GemmService:
         hits_before = predictor.cache.hits
         n_threads = predictor.predict_threads(*_shape_key(spec))
         memoised = predictor.cache.hits > hits_before
-        record = self._dispatch(spec, n_threads, memoised)
+        runtime = self._executor(routine).timed_run(spec, n_threads,
+                                                    repeats=self.repeats)
         self._requests[routine] = self._requests.get(routine, 0) + 1
         self.n_memoised += memoised
-        return record
+        return GemmCallRecord(spec, n_threads, runtime, memoised)
 
     def run_batch(self, specs) -> list:
         """Serve a stream of specs, amortising prediction across shapes.
@@ -430,10 +398,10 @@ class GemmService:
         if not specs:
             return []
         # Snapshot: the whole batch resolves against one predictor map
-        # even if reload() swaps the service's artefacts mid-dispatch.
+        # even if reload() swaps the service's artefacts mid-batch.
         choices = np.empty(len(specs), dtype=np.int64)
         memoised = [False] * len(specs)
-        groups, requests = self._group_by_predictor(specs)
+        groups, routines = self._group_by_predictor(specs)
         for predictor, indices in groups.values():
             keys = [predictor.cache_key(specs[i]) for i in indices]
             fresh = {key for key in dict.fromkeys(keys)
@@ -444,10 +412,15 @@ class GemmService:
             for i, key in zip(indices, keys):
                 memoised[i] = key not in fresh or key in seen
                 seen.add(key)
-        records = [self._dispatch(spec, int(n_threads), memo)
-                   for spec, n_threads, memo in zip(specs, choices, memoised)]
-        for routine, count in requests.items():
-            self._requests[routine] = self._requests.get(routine, 0) + count
+        executor, repeats = self._executor, self.repeats
+        records = [GemmCallRecord(spec, n_threads,
+                                  executor(routine).timed_run(
+                                      spec, n_threads, repeats=repeats),
+                                  memo)
+                   for spec, routine, n_threads, memo
+                   in zip(specs, routines, choices.tolist(), memoised)]
+        for routine in routines:
+            self._requests[routine] = self._requests.get(routine, 0) + 1
         self.n_memoised += sum(memoised)
         self.n_batches += 1
         return records
@@ -458,13 +431,8 @@ class GemmService:
         self._ensure_open()
         if n_threads is None:
             n_threads = int(self.predictor_for(spec).thread_grid.max())
-        return self.dispatcher.timed_run(
+        return self._executor(routine_of(spec, self.routine)).timed_run(
             spec, n_threads, repeats=self.repeats if repeats is None else repeats)
-
-    def _dispatch(self, spec, n_threads: int, memoised: bool) -> GemmCallRecord:
-        runtime = self.dispatcher.timed_run(spec, n_threads,
-                                            repeats=self.repeats)
-        return GemmCallRecord(spec, n_threads, runtime, memoised)
 
     # -- stats -----------------------------------------------------------
     def _tallies(self) -> tuple:

@@ -13,7 +13,7 @@ the classic argument order on top of numpy arrays.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
@@ -110,10 +110,6 @@ class GemmSpec:
     @property
     def max_dim(self) -> int:
         return max(self.m, self.k, self.n)
-
-    def with_dtype(self, dtype: str) -> "GemmSpec":
-        """Return a copy with a different precision."""
-        return replace(self, dtype=dtype)
 
     # -- routine protocol ---------------------------------------------
     def equivalent_gemm(self) -> "GemmSpec":

@@ -15,8 +15,6 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.gemm.blocked import BlockSizes, gemm_blocked
 from repro.gemm.interface import GemmSpec
 from repro.gemm.packing import PackingBuffer
@@ -261,11 +259,8 @@ class ExecutorPool:
     the setup: a :class:`ParallelGemm` instance per team size (threads
     are fixed at construction, per the paper's gathering protocol) and
     allocated operands per spec (real BLAS benchmarking allocates once
-    and loops, Section V-B3).  The pool owns both and exposes the
-    engine's ``timed_run(spec, n_threads, repeats)`` timing protocol;
-    :class:`repro.machine.host.HostMachine` and
-    :class:`repro.engine.backend.ParallelExecutionBackend` are thin
-    layers over it.
+    and loops, Section V-B3).  The pool owns both;
+    :class:`repro.machine.host.HostMachine` times its runs.
     """
 
     def __init__(self, blocks: BlockSizes = None,
@@ -300,20 +295,6 @@ class ExecutorPool:
         t0 = time.perf_counter()
         executor.run(spec, a, b, c)
         return time.perf_counter() - t0
-
-    def timed_run(self, spec: GemmSpec, n_threads: int, repeats: int = 3,
-                  reduce: str = "median") -> float:
-        """Loop-timing protocol over cached operands."""
-        if repeats < 1:
-            raise ValueError("repeats must be >= 1")
-        times = [self.run(spec, n_threads) for _ in range(repeats)]
-        if reduce == "median":
-            return float(np.median(times))
-        if reduce == "min":
-            return float(np.min(times))
-        if reduce == "mean":
-            return float(np.mean(times))
-        raise ValueError(f"unknown reduction {reduce!r}")
 
     def release(self) -> None:
         """Free cached operand arrays and executors."""

@@ -64,10 +64,6 @@ class Placement:
     max_threads_per_core: int
     cpu_ids: tuple
 
-    @property
-    def smt_shared(self) -> bool:
-        return self.max_threads_per_core > 1
-
 
 def place_threads(topology: NodeTopology, n_threads: int,
                   policy=AffinityPolicy.CORES,

@@ -8,8 +8,7 @@ whose numpy inner kernels release the GIL) and exposes the same
 so the whole ADSALA stack — gathering, training, the runtime library —
 can run against genuine wall-clock measurements on whatever machine
 hosts this process.  The executor/operand caching lives in
-:class:`repro.gemm.parallel.ExecutorPool`, which the engine's real
-execution backend shares.
+:class:`repro.gemm.parallel.ExecutorPool`.
 
 Expect meaningful results only on multi-core hosts and with campaign
 sizes appropriate to real timing costs; the simulator remains the tool

@@ -86,16 +86,6 @@ class MachineSimulator:
         ht = self.hyperthreading if hyperthreading is None else hyperthreading
         return self.topology.max_threads(ht)
 
-    def backend(self, thread_grid=None):
-        """This simulator as an engine :class:`ExecutionBackend`.
-
-        The grid defaults to :func:`~repro.gemm.partition.choose_thread_grid`
-        over the node's logical CPUs.
-        """
-        from repro.engine.backend import SimulatorBackend
-
-        return SimulatorBackend(self, thread_grid)
-
     # ------------------------------------------------------------------
     def _rng_for(self, spec: GemmSpec, n_threads: int, iteration: int) -> np.random.Generator:
         """Stable per-measurement RNG derived from the call coordinates.

@@ -115,9 +115,6 @@ class NodeTopology:
     def peak_gflops_node(self, dtype: str = "float32") -> float:
         return self.peak_gflops_core(dtype) * self.physical_cores
 
-    def total_mem_bw_gbs(self) -> float:
-        return self.mem_bw_gbs_per_socket * self.sockets
-
     # -- CPU enumeration -----------------------------------------------
     def cpu(self, cpu_id: int) -> LogicalCpu:
         """Resolve a logical CPU id to its position in the tree.
@@ -134,9 +131,6 @@ class NodeTopology:
         module = socket * self.modules_per_socket + within // self.cores_per_module
         return LogicalCpu(cpu_id=cpu_id, core=core, module=module,
                           socket=socket, smt_rank=smt_rank)
-
-    def all_cpus(self):
-        return [self.cpu(i) for i in range(self.logical_cpus)]
 
     def l3_bytes_for_modules(self, n_modules: int) -> float:
         """Aggregate L3 available to threads spread over ``n_modules``."""

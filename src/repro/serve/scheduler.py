@@ -268,13 +268,12 @@ class MicroBatcher:
     async def _execute(self, batch, loop, t_form: float = None) -> None:
         """One vectorised service pass; resolve every slab's future.
 
-        The pass runs on the event loop when the shard's backends
-        compute their runtimes, which is cheaper than a hand-off to a
-        thread.  When one declares that it blocks (the service
-        dispatcher's ``blocking``, read per batch because backends can
-        be registered while the server runs), the pass runs in the
-        loop's default executor instead, so a long wait (a real
-        ``ParallelExecutionBackend`` GEMM, say) never holds up other
+        The pass runs on the event loop when the shard's backend
+        computes its runtimes, which is cheaper than a hand-off to a
+        thread.  When the backend declares that it blocks (the
+        service's ``blocking``, fixed when the service is built), the
+        pass runs in the loop's default executor instead, so a long
+        wait (a real ``HostMachine`` GEMM, say) never holds up other
         shards' windows or new admissions.  Either way this shard's
         batcher waits for the pass, so per-shard execution remains
         strictly sequential and choices stay deterministic.  An inline
@@ -295,8 +294,7 @@ class MicroBatcher:
                       if self.policy.max_batch_cost is not None else None)
         self.telemetry.record_batch(len(specs), cost=batch_cost)
         try:
-            if getattr(getattr(self.service, "dispatcher", None),
-                       "blocking", False):
+            if self.service.blocking:
                 records = list(await loop.run_in_executor(
                     None, self.service.run_batch, specs))
             else:

@@ -164,11 +164,6 @@ class ServeTelemetry:
         """:class:`~repro.bench.stats.LatencySummary` of queue-wait time."""
         return latency_summary(self.waits)
 
-    def routine_latency(self, routine: str):
-        """:class:`~repro.bench.stats.LatencySummary` for one routine."""
-        return latency_summary(
-            self.per_routine.get(routine, {}).get("latencies", []))
-
     def routine_wait(self, routine: str):
         """:class:`~repro.bench.stats.LatencySummary` of one routine's
         queue wait (submit -> batch execution start)."""

@@ -12,8 +12,7 @@ from repro.blas.syrk import SyrkSpec
 from repro.blas.trsm import TrsmSpec
 from repro.core.features import FeatureBuilder
 from repro.core.predictor import ThreadPredictor
-from repro.engine import (BackendDispatcher, GemmService, PredictionCache,
-                          SimulatorBackend)
+from repro.engine import GemmService, PredictionCache
 from repro.gemm.interface import GemmSpec
 
 GRID = [1, 2, 4, 8, 12, 16]
@@ -31,7 +30,7 @@ class _OracleModel:
 def service(tiny_sim):
     predictor = ThreadPredictor(FeatureBuilder("both"), None, _OracleModel(),
                                 GRID, cache=PredictionCache(maxsize=64))
-    return GemmService(predictor, backend=tiny_sim.backend(GRID), repeats=2)
+    return GemmService(predictor, backend=tiny_sim, repeats=2)
 
 
 class TestSingleCalls:
@@ -133,19 +132,14 @@ class TestBatchServing:
 
 
 class TestMultiRoutineDispatch:
-    """All four routines serve through the one ExecutionBackend protocol."""
+    """All four routines serve through one GEMM predictor on a
+    simulator: GEMV, SYRK and TRSM calls run on the routine oracle."""
 
     @pytest.fixture
     def routed(self, tiny_sim):
         predictor = ThreadPredictor(FeatureBuilder("both"), None,
                                     _OracleModel(), GRID, cache_size=64)
-        routines = RoutineSimulator(tiny_sim).backend(GRID)
-        service = GemmService(
-            predictor,
-            dispatcher=BackendDispatcher(default=tiny_sim.backend(GRID)))
-        for spec_type in (GemvSpec, SyrkSpec, TrsmSpec):
-            service.register_backend(spec_type, routines)
-        return service
+        return GemmService(predictor, tiny_sim)
 
     def test_all_four_routines_serve(self, routed):
         specs = [GemmSpec(64, 64, 64), GemvSpec(m=256, n=256),
@@ -156,11 +150,11 @@ class TestMultiRoutineDispatch:
         assert all(r.n_threads in GRID for r in records)
 
     def test_routing_targets(self, routed, tiny_sim):
-        gemm_backend = routed.dispatcher.backend_for(GemmSpec(8, 8, 8))
-        syrk_backend = routed.dispatcher.backend_for(SyrkSpec(n=8, k=8))
-        assert isinstance(gemm_backend, SimulatorBackend)
-        assert syrk_backend is not gemm_backend
-        assert syrk_backend.machine.simulator is tiny_sim
+        assert routed._executor("gemm") is tiny_sim
+        syrk = routed._executor("syrk")
+        assert isinstance(syrk, RoutineSimulator)
+        assert syrk.simulator is tiny_sim
+        assert routed._executor("syrk") is syrk  # resolved once
 
     def test_syrk_cheaper_than_equivalent_gemm(self, routed):
         syrk = SyrkSpec(n=256, k=128)
@@ -168,24 +162,8 @@ class TestMultiRoutineDispatch:
         t_gemm = routed.run(syrk.equivalent_gemm()).runtime
         assert t_syrk < t_gemm
 
-    def test_unregistered_type_without_default_raises(self):
-        predictor = ThreadPredictor(FeatureBuilder("both"), None,
-                                    _OracleModel(), GRID)
-        service = GemmService(predictor, dispatcher=BackendDispatcher())
-        with pytest.raises(TypeError):
-            service.run(GemmSpec(8, 8, 8))
-
 
 class TestConstruction:
-    def test_backend_xor_dispatcher(self, tiny_sim):
-        predictor = ThreadPredictor(FeatureBuilder("both"), None,
-                                    _OracleModel(), GRID)
-        with pytest.raises(ValueError):
-            GemmService(predictor)
-        with pytest.raises(ValueError):
-            GemmService(predictor, backend=tiny_sim.backend(GRID),
-                        dispatcher=BackendDispatcher())
-
     def test_from_bundle(self, tiny_bundle):
         bundle, sim = tiny_bundle
         with GemmService.from_bundle(bundle, sim, cache_size=128) as service:
@@ -233,3 +211,21 @@ class TestAdsalaGemmFacade:
             gemm.gemm(200, 200, 200)
             record = gemm.gemm(100, 100, 100)
             assert not record.memoised
+
+    def test_grid_clamped_to_a_smaller_machine(self, tiny_bundle):
+        """A bundle installed on a 16-thread node serves on a 2-thread
+        host, choosing what ``GemmService.from_bundle`` chooses."""
+        from repro.core.library import AdsalaRuntime
+        from repro.machine.host import HostMachine
+
+        bundle, _ = tiny_bundle
+        assert max(bundle.config.thread_grid) > 2
+        machine = HostMachine(max_threads=2)
+        reference = GemmService.from_bundle(bundle, machine)
+        specs = [GemmSpec(32, 768, 32), GemmSpec(64, 64, 64),
+                 GemmSpec(96, 16, 48), GemmSpec(8, 300, 8)]
+        with AdsalaRuntime(bundle, machine) as runtime:
+            records = [runtime.run(spec) for spec in specs]
+        assert [r.n_threads for r in records] == \
+            [reference.run(spec).n_threads for spec in specs]
+        assert all(r.runtime > 0 for r in records)

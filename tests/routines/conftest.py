@@ -15,7 +15,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.blas.adapter import RoutineSimulator
 from repro.core.features import FeatureBuilder
 from repro.core.predictor import ThreadPredictor
 from repro.core.routines import routine_names
@@ -52,13 +51,11 @@ def make_mixed_service(tiny_sim):
 
     def make(**service_kwargs) -> GemmService:
         service = GemmService(oracle_predictor("gemm"),
-                              backend=tiny_sim.backend(GRID),
+                              backend=tiny_sim,
                               **service_kwargs)
-        routines = RoutineSimulator(tiny_sim).backend(GRID)
         for routine in ("gemv", "syrk", "trsm"):
             service.register_routine(routine,
-                                     predictor=oracle_predictor(routine),
-                                     backend=routines)
+                                     predictor=oracle_predictor(routine))
         return service
 
     return make

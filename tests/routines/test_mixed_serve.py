@@ -4,26 +4,21 @@ import asyncio
 
 import pytest
 
-from repro.blas.adapter import RoutineSimulator
 from repro.blas.gemv import GemvSpec
 from repro.blas.syrk import SyrkSpec
 from repro.blas.trsm import TrsmSpec
 from repro.engine import GemmService
 from repro.gemm.interface import GemmSpec
 from repro.serve import GemmServer, RoutineRouter
-from tests.routines.conftest import GRID, ROUTINE_TARGETS, oracle_predictor
+from tests.routines.conftest import ROUTINE_TARGETS, oracle_predictor
 
 MIXED = [GemmSpec(64, 512, 64), GemvSpec(m=64, n=512),
          SyrkSpec(n=96, k=64), TrsmSpec(m=128, n=32)] * 3
 
 
 def _shards(tiny_sim) -> dict:
-    routines_backend = RoutineSimulator(tiny_sim).backend(GRID)
-    return {routine: GemmService(
-        oracle_predictor(routine),
-        backend=(tiny_sim.backend(GRID) if routine == "gemm"
-                 else routines_backend))
-        for routine in ROUTINE_TARGETS}
+    return {routine: GemmService(oracle_predictor(routine), backend=tiny_sim)
+            for routine in ROUTINE_TARGETS}
 
 
 class TestRoutineRouter:
@@ -104,9 +99,7 @@ class TestServerRoutineReload:
         """server.reload(bundle, shard=..., routine=...) swaps a single
         routine's predictor inside a multi-routine shard."""
         service = GemmService.from_bundle(routine_bundles["gemm"], tiny_sim)
-        service.register_routine(
-            "gemv", bundle=routine_bundles["gemv"],
-            backend=RoutineSimulator(tiny_sim).backend(GRID))
+        service.register_routine("gemv", bundle=routine_bundles["gemv"])
         server = GemmServer(service, max_batch=4, max_wait_ms=2.0)
 
         async def run():

@@ -40,11 +40,7 @@ class TestPerRoutineDispatch:
         from repro.engine import GemmService
 
         service = GemmService(oracle_predictor("gemm"),
-                              backend=tiny_sim.backend(GRID))
-        from repro.blas.adapter import RoutineSimulator
-
-        service.register_backend(
-            SyrkSpec, RoutineSimulator(tiny_sim).backend(GRID))
+                              backend=tiny_sim)
         # No syrk predictor registered: the default (gemm) model scores
         # the dims triple — the historic single-predictor behaviour.
         assert service.predict(SyrkSpec(n=48, k=48)) == \
@@ -68,16 +64,12 @@ class TestMixedBatches:
         mixed = make_mixed_service()
         batch = [r.n_threads for r in mixed.run_batch(MIXED)]
 
-        from repro.blas.adapter import RoutineSimulator
         from repro.engine import GemmService
 
-        routines_backend = RoutineSimulator(tiny_sim).backend(GRID)
         dedicated = []
         for spec in MIXED:
-            service = GemmService(
-                oracle_predictor(spec.routine),
-                backend=(tiny_sim.backend(GRID) if spec.routine == "gemm"
-                         else routines_backend))
+            service = GemmService(oracle_predictor(spec.routine),
+                                  backend=tiny_sim)
             dedicated.append(service.run(spec).n_threads)
         assert batch == dedicated
 
@@ -122,19 +114,15 @@ class TestCountersMatchRecords:
         returned gives: requests, batches, per-routine requests and
         memo_hit_rate, across scalar calls, in-batch duplicates, a reload
         and a routine served by the default predictor."""
-        from repro.blas.adapter import RoutineSimulator
         from repro.core.config import AdsalaConfig
         from repro.core.routines import routine_of
         from repro.core.training import TrainedBundle
         from repro.engine import GemmService
 
         service = GemmService(oracle_predictor("gemm"),
-                              backend=tiny_sim.backend(GRID))
-        routines = RoutineSimulator(tiny_sim).backend(GRID)
-        service.register_routine("gemv", predictor=oracle_predictor("gemv"),
-                                 backend=routines)
+                              backend=tiny_sim)
+        service.register_routine("gemv", predictor=oracle_predictor("gemv"))
         # No syrk predictor: SYRK calls fall back to the gemm model.
-        service.register_backend(SyrkSpec, routines)
         gemv_bundle = TrainedBundle(
             config=AdsalaConfig(machine="tiny", routine="gemv",
                                 thread_grid=list(GRID), model_name="gemv-1"),
@@ -209,16 +197,17 @@ class TestRoutineScopedReload:
     def test_reload_can_install_a_new_routine_with_execution(
             self, routine_bundles, tiny_sim):
         """A routine the service never served can arrive via reload();
-        it must get the same oracle execution wiring registration
-        would have."""
+        its calls run on the routine oracle like a registered one's."""
+        from repro.blas.adapter import RoutineSimulator
         from repro.engine import GemmService
 
         service = GemmService.from_bundle(routine_bundles["gemm"], tiny_sim)
-        assert not service.dispatcher.has_routine_route("gemv")
         service.reload(routine_bundles["gemv"])
-        assert service.dispatcher.has_routine_route("gemv")
-        record = service.run(GemvSpec(m=256, n=256))
-        assert record.runtime > 0
+        spec = GemvSpec(m=256, n=256)
+        record = service.run(spec)
+        assert service.predictor_for(spec) is service.predictors["gemv"]
+        assert record.runtime == RoutineSimulator(tiny_sim).timed_run(
+            spec, record.n_threads, repeats=service.repeats)
 
     def test_counters_monotonic_across_routine_reload(self, registry_service,
                                                       routine_bundles):
@@ -232,3 +221,57 @@ class TestRoutineScopedReload:
         after = service.stats()
         assert after["evaluations"] == before + 5
         assert after["reloads"] == 1
+
+
+ROUTINE_SPECS = {"gemm": GemmSpec(64, 512, 64), "gemv": GemvSpec(m=2048, n=512),
+                 "syrk": SyrkSpec(n=96, k=64), "trsm": TrsmSpec(m=128, n=32)}
+
+
+class TestExecutionRouting:
+    """What runs a call: the machine simulator for GEMM and the routine
+    oracle over it for every other routine, whichever predictor answers
+    the call; an override backend runs every routine."""
+
+    @pytest.fixture(scope="class")
+    def registry(self, routine_bundles, tmp_path_factory):
+        from repro.train.registry import ModelRegistry
+
+        registry = ModelRegistry(tmp_path_factory.mktemp("registry"))
+        for routine, bundle in routine_bundles.items():
+            registry.publish(bundle, routine=routine, machine="tiny")
+        return registry
+
+    @pytest.mark.parametrize("execution", ["simulator", "override"])
+    @pytest.mark.parametrize("answered_by", ["own", "default"])
+    @pytest.mark.parametrize("routine", sorted(ROUTINE_SPECS))
+    def test_runtime_comes_from_the_expected_executor(
+            self, registry, tiny_sim, routine, answered_by, execution):
+        from repro.bench.loadgen import CpuBoundBackend
+        from repro.blas.adapter import RoutineSimulator
+        from repro.engine import GemmService
+
+        override = CpuBoundBackend(iters=1) if execution == "override" \
+            else None
+        # "default": only another routine's model is loaded, so the
+        # service's default predictor answers this routine's calls.
+        routines = None if answered_by == "own" \
+            else ["gemv" if routine == "gemm" else "gemm"]
+        service = GemmService.from_registry(registry, tiny_sim,
+                                            routines=routines, repeats=2,
+                                            backend=override)
+        spec = ROUTINE_SPECS[routine]
+        assert (routine in service.predictors) == (answered_by == "own")
+        if override is not None:
+            expected = override
+        elif routine == "gemm":
+            expected = tiny_sim
+        else:
+            expected = RoutineSimulator(tiny_sim)
+
+        records = [service.run(spec)] + service.run_batch([spec, spec])
+        for record in records:
+            assert record.runtime == expected.timed_run(
+                spec, record.n_threads, repeats=service.repeats)
+        top = int(service.predictor_for(spec).thread_grid.max())
+        assert service.run_baseline(spec) == expected.timed_run(
+            spec, top, repeats=service.repeats)

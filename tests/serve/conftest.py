@@ -33,9 +33,6 @@ class OracleModel:
 class ExplodingBackend:
     """A backend whose execution always fails (error-path tests)."""
 
-    name = "exploding"
-    thread_grid = np.asarray(GRID)
-
     def timed_run(self, spec, n_threads, repeats=1):
         raise ArithmeticError("boom")
 
@@ -49,7 +46,7 @@ def make_service(tiny_sim):
             FeatureBuilder("both"), None, OracleModel(), GRID,
             cache=PredictionCache(maxsize=cache_size))
         return GemmService(predictor,
-                           backend=backend or tiny_sim.backend(GRID),
+                           backend=backend or tiny_sim,
                            **service_kwargs)
 
     return make

@@ -46,7 +46,7 @@ def make_tabled_service(tiny_sim):
         predictor = ThreadPredictor(
             FeatureBuilder("both"), None, OracleModel(), GRID,
             cache=PredictionCache(maxsize=cache_size), table=oracle_table())
-        return GemmService(predictor, backend=tiny_sim.backend(GRID))
+        return GemmService(predictor, backend=tiny_sim)
 
     return make
 

@@ -39,8 +39,6 @@ class RecordingBackend:
 
     def __init__(self, inner):
         self.inner = inner
-        self.name = inner.name
-        self.thread_grid = inner.thread_grid
         self.choices = []
 
     def timed_run(self, spec, n_threads, repeats=1):
@@ -79,7 +77,7 @@ class TestServerReload:
                                                        tiny_sim):
         """Requests keep flowing while the swap happens; every one
         resolves, none is rejected, and no batch mixes bundles."""
-        backend = RecordingBackend(tiny_sim.backend(GRID))
+        backend = RecordingBackend(tiny_sim)
 
         async def scenario():
             service = make_service(backend=backend, cache_size=256)
@@ -162,7 +160,7 @@ class TestServerReload:
         predictor = ThreadPredictor(
             FeatureBuilder("both"), None, OracleModel(), GRID,
             cache=PredictionCache(maxsize=4), table=oracle_table())
-        service = GemmService(predictor, backend=tiny_sim.backend(GRID))
+        service = GemmService(predictor, backend=tiny_sim)
 
         async def scenario():
             async with GemmServer(service, max_batch=4,

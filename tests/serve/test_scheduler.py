@@ -363,7 +363,6 @@ class DeclaredBlocking:
 
     def __init__(self, machine):
         self.machine = machine
-        self.name = "declared-blocking"
 
     def timed_run(self, spec, n_threads, repeats=1, **kw):
         return self.machine.timed_run(spec, n_threads, repeats=repeats, **kw)
@@ -374,8 +373,6 @@ class GatedBackend:
     its gate, which a loop busy running the batch itself never does."""
 
     blocking = True
-    name = "gated"
-    thread_grid = np.asarray(GRID)
 
     def __init__(self, loop):
         self.loop = loop

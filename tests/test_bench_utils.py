@@ -194,7 +194,7 @@ class TestCacheEffectivenessTable:
         service = GemmService(
             ThreadPredictor(FeatureBuilder("both"), None, Flat(),
                             [1, 2, 4], cache_size=8),
-            backend=tiny_sim.backend([1, 2, 4]))
+            backend=tiny_sim)
         service.run_batch([GemmSpec(16, 16, 16), GemmSpec(16, 16, 16)])
         assert "cache_hits" in cache_effectiveness_table(service.stats())
 

@@ -254,7 +254,7 @@ class TestRoutineCorrections:
 
     def test_gemm_spec_satisfies_oracle_protocol(self):
         """GemmSpec itself now answers the oracle protocol (identity
-        equivalent, unit work fraction), so a RoutineBackend can serve
+        equivalent, unit work fraction), so a RoutineSimulator can serve
         stray GEMM traffic consistently."""
         from repro.gemm.interface import GemmSpec
 
